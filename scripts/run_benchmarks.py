@@ -504,7 +504,7 @@ def run_epoch_bench() -> dict:
     from repro.core import refresh_snapshot
     from repro.core.pipeline import dns_display_directory
     from repro.measurement.records import Dataset
-    from repro.measurement.runner import MeasurementCampaign
+    from repro.measurement.runner import MeasurementCampaign, ranked_sites
     from repro.worldgen.timeline import Timeline, TimelineConfig
 
     config = TimelineConfig(
@@ -527,7 +527,7 @@ def run_epoch_bench() -> dict:
 
         start = time.perf_counter()  # repro: noqa[REP001] -- benchmark harness measures wall-clock by design; timings are non-deterministic fields
         campaign = MeasurementCampaign(world_full)
-        sites = campaign.ranked_sites()
+        sites = ranked_sites(world_full)
         dataset_full = Dataset(year=world_full.year)
         dataset_full.websites.extend(
             campaign.measure_site(domain, rank) for domain, rank in sites
@@ -543,7 +543,7 @@ def run_epoch_bench() -> dict:
 
         start = time.perf_counter()  # repro: noqa[REP001] -- benchmark harness measures wall-clock by design; timings are non-deterministic fields
         campaign = MeasurementCampaign(world_inc)
-        sites = campaign.ranked_sites()
+        sites = ranked_sites(world_inc)
         prev_by = prev_dataset.by_domain() if prev_dataset else {}
         if prev_dataset is None:
             to_measure = list(sites)

@@ -997,7 +997,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    from repro.measurement.runner import MeasurementCampaign
+    from repro.measurement.runner import MeasurementCampaign, ranked_sites
     from repro.telemetry import TelemetryConfig, chrome_trace, summary_table
 
     fault_plan = None
@@ -1019,7 +1019,7 @@ def cmd_trace(args) -> int:
     campaign = MeasurementCampaign(
         world, fault_plan=fault_plan, telemetry=telemetry
     )
-    rank = dict(campaign.ranked_sites()).get(args.domain)
+    rank = dict(ranked_sites(world)).get(args.domain)
     if rank is None:
         print(
             f"trace: {args.domain} is not in this world "
@@ -1074,11 +1074,11 @@ def cmd_stats(args) -> int:
             merged.merge_dict(metrics)
         title = f"checkpoint metrics ({len(shard_ids)} shard(s))"
     else:
-        from repro.measurement.io import load_dataset_cached
+        from repro.measurement.io import load_dataset
         from repro.measurement.telemetry import dataset_metrics
 
         try:
-            dataset = load_dataset_cached(args.path)
+            dataset = load_dataset(args.path)
         except (OSError, ValueError) as exc:
             print(f"stats: cannot load {args.path}: {exc}", file=sys.stderr)
             return 1

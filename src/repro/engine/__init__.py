@@ -1,12 +1,21 @@
 """The campaign-execution engine: sharded, parallel, resumable.
 
-``run_campaign`` orchestrates the pieces::
+Two drivers share one execution path. ``run_campaign`` measures one
+snapshot; ``run_timeline`` (engine.epochs) measures each epoch's
+changed slice and splices it into the previous epoch. Both plan, hand
+the plan to :func:`repro.engine.merge.execute_plan`, then run the
+inter-service pass over the result::
 
-    plan      partition the ranked site list into shards   (engine.plan)
+    plan      partition the target site list into shards   (engine.plan)
+    persist   write or validate the manifest, load resumed
+              shards, checkpoint each finished shard       (engine.checkpoint)
     execute   measure shards serially or in a process pool (engine.executor)
-    persist   checkpoint each finished shard + manifest    (engine.checkpoint)
-    merge     recombine shards, rerun inter-service pass   (engine.merge)
+    merge     decode and check shards against the plan     (engine.merge)
     report    shards done, sites/sec, per-phase timings    (engine.progress)
+
+A pool worker rebuilds its world from a picklable recipe: the
+``WorldConfig`` for a campaign, a :class:`TimelineWorldSource` for an
+epoch.
 
 The contract is determinism: for a fixed world fingerprint
 (n/seed/year/region/limit), the merged dataset serializes to the exact
@@ -29,7 +38,7 @@ from repro.engine.epochs import (
     TimelineWorldSource,
     run_timeline,
 )
-from repro.engine.merge import merge_shards
+from repro.engine.merge import execute_plan
 from repro.engine.plan import (
     CampaignPlan,
     ShardSpec,
@@ -47,7 +56,7 @@ from repro.engine.progress import (
 from repro.faults.plan import FaultPlan
 from repro.measurement.records import Dataset
 from repro.measurement.runner import MeasurementCampaign
-from repro.telemetry.context import Telemetry, TelemetryConfig
+from repro.telemetry.context import Telemetry
 from repro.worldgen.config import WorldConfig
 from repro.worldgen.world import World, build_world
 
@@ -67,7 +76,6 @@ __all__ = [
     "TimelineWorldSource",
     "WorldFingerprint",
     "WorldSource",
-    "merge_shards",
     "partition_sites",
     "plan_campaign",
     "run_campaign",
@@ -79,13 +87,11 @@ def run_campaign(
     config: Optional[WorldConfig] = None,
     *,
     world: Optional[World] = None,
-    world_source: Optional["WorldSource"] = None,
-    epoch: Optional[int] = None,
     shards: int = 1,
     workers: int = 1,
     limit: Optional[int] = None,
     region: Optional[str] = None,
-    checkpoint_dir: Optional[Union[str, "CheckpointStore"]] = None,
+    checkpoint_dir: Optional[Union[str, CheckpointStore]] = None,
     resume: bool = False,
     progress: Optional[ProgressReporter] = None,
     stats: Optional[CampaignStats] = None,
@@ -115,101 +121,42 @@ def run_campaign(
     progress = progress if progress is not None else NullProgress()
     stats = stats if stats is not None else CampaignStats()
     stats.start()
-    stats.workers = workers
-
-    timer = PhaseTimer()
-
-    def finish_phase(name: str) -> None:
-        seconds = timer.elapsed()
-        stats.phase_seconds[name] = stats.phase_seconds.get(name, 0.0) + seconds
-        progress.on_phase(name, seconds, stats)
 
     # -- plan --------------------------------------------------------------
     if world is None:
-        if world_source is not None:
-            world = world_source.build()
-        elif config is not None:
-            world = build_world(config)
-        else:
-            raise ValueError(
-                "run_campaign needs a config, a world, or a world_source"
-            )
-    config = world.config
+        if config is None:
+            raise ValueError("run_campaign needs a config or a world")
+        world = build_world(config)
     plan = plan_campaign(
         world, n_shards=shards, limit=limit, region=region,
-        fault_plan=fault_plan, epoch=epoch,
+        fault_plan=fault_plan,
     )
     campaign = MeasurementCampaign(
         world, limit=limit, region=region, fault_plan=fault_plan,
         telemetry=telemetry,
     )
+    store = (
+        checkpoint_dir
+        if checkpoint_dir is None or isinstance(checkpoint_dir, CheckpointStore)
+        else CheckpointStore(checkpoint_dir)
+    )
 
-    store: Optional[CheckpointStore] = None
-    if isinstance(checkpoint_dir, CheckpointStore):
-        store = checkpoint_dir
-    elif checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-
-    payloads: dict[int, str] = {}
-    if store is not None:
-        if store.has_manifest():
-            if not resume:
-                raise ValueError(
-                    f"checkpoint directory {store.directory} already holds "
-                    f"a campaign; pass resume=True (--resume) to continue "
-                    f"it, or point at a fresh directory"
-                )
-            store.validate_manifest(plan)
-            completed = store.completed_shards()
-            for shard in plan.shards:
-                if shard.shard_id in completed:
-                    payloads[shard.shard_id] = store.load_shard(shard.shard_id)
-        else:
-            store.write_manifest(plan)
-
-    pending = [s for s in plan.shards if s.shard_id not in payloads]
-    stats.shards_total = len(plan.shards)
-    stats.shards_skipped = len(plan.shards) - len(pending)
-    stats.sites_total = plan.n_sites
-    finish_phase("plan")
-    progress.on_plan(stats)
-
-    # -- measure -----------------------------------------------------------
-    timer.restart()
-    if pending:
-        executor: Union[SerialExecutor, MultiprocessExecutor]
-        if workers <= 1:
-            # Shares `campaign` with the merge pass — see SerialExecutor.
-            executor = SerialExecutor(campaign)
-        else:
-            # Workers get a metrics-only facade rebuilt from a picklable
-            # config (tracing stays in-process: site traces need the
-            # serial path so one world observes the whole campaign).
-            worker_telemetry = (
-                TelemetryConfig(metrics=True)
-                if telemetry is not None and telemetry.metrics is not None
-                else None
-            )
-            executor = MultiprocessExecutor(
-                world_source if world_source is not None else config,
-                workers,
-                region=region,
-                fault_plan=fault_plan,
-                telemetry_config=worker_telemetry,
-            )
-        sites_by_id = {s.shard_id: s.n_sites for s in plan.shards}
-        for shard_id, payload in executor.run(pending):
-            if store is not None:
-                store.write_shard(shard_id, payload)
-            payloads[shard_id] = payload
-            stats.shards_done += 1
-            stats.sites_done += sites_by_id[shard_id]
-            progress.on_shard_done(shard_id, sites_by_id[shard_id], stats)
-    finish_phase("measure")
+    # -- persist + measure (closes the plan and measure phases) -----------
+    websites, metrics = execute_plan(
+        campaign, plan, world.config, workers=workers, store=store,
+        resume=resume, stats=stats, progress=progress,
+    )
 
     # -- merge + inter-service pass ---------------------------------------
-    timer.restart()
-    dataset = merge_shards(campaign, plan, payloads)
-    finish_phase("merge")
+    dataset = Dataset(year=world.year)
+    dataset.websites.extend(websites)
+    campaign.run_interservice(dataset)
+    if metrics is not None:
+        assert telemetry is not None
+        remainder = telemetry.drain_metrics()
+        if remainder is not None:
+            metrics.merge_dict(remainder)
+        telemetry.campaign_metrics = metrics.to_dict()
+    stats.finish_phase("merge", progress)
     progress.on_finish(stats)
     return dataset

@@ -7,8 +7,9 @@ work, because an epoch only changes a churn-sized slice of the world.
 1. asks the :class:`~repro.worldgen.timeline.Timeline` for the epoch's
    :class:`~repro.worldgen.timeline.EpochChange` (the ground-truth set of
    sites whose spec moved),
-2. plans a campaign over *only* those sites (sharded, parallel, and
-   checkpointable exactly like a full campaign — per-epoch subdirectories
+2. plans a campaign over *only* those sites and runs it through
+   :func:`~repro.engine.merge.execute_plan`, the same sharded, parallel,
+   checkpointed path ``run_campaign`` uses (per-epoch subdirectories
    under the checkpoint root, fingerprinted with the epoch index),
 3. splices the fresh records into the previous epoch's dataset — dead
    sites drop out, newcomers and movers take their measured records,
@@ -33,15 +34,15 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from repro.engine.checkpoint import CheckpointStore
-from repro.engine.executor import MultiprocessExecutor, SerialExecutor
+from repro.engine.merge import execute_plan
 from repro.engine.plan import (
     CampaignPlan,
     WorldFingerprint,
     partition_sites,
 )
-from repro.measurement.io import shard_payload_from_json
+from repro.engine.progress import CampaignStats, NullProgress
 from repro.measurement.records import Dataset, WebsiteMeasurement
-from repro.measurement.runner import MeasurementCampaign
+from repro.measurement.runner import MeasurementCampaign, ranked_sites
 from repro.worldgen.timeline import EpochChange, Timeline, TimelineConfig
 from repro.worldgen.world import World
 
@@ -82,45 +83,6 @@ def _epoch_store(
     return CheckpointStore(Path(checkpoint_dir) / f"epoch-{epoch:04d}")
 
 
-def _measure_plan(
-    campaign: MeasurementCampaign,
-    plan: CampaignPlan,
-    source: TimelineWorldSource,
-    workers: int,
-    store: Optional[CheckpointStore],
-    resume: bool,
-) -> dict[int, str]:
-    """Execute a plan's shards with checkpoint/resume, as run_campaign does."""
-    payloads: dict[int, str] = {}
-    if store is not None:
-        if store.has_manifest():
-            if not resume:
-                raise ValueError(
-                    f"checkpoint directory {store.directory} already holds "
-                    f"an epoch campaign; pass resume=True to continue it, "
-                    f"or point at a fresh directory"
-                )
-            store.validate_manifest(plan)
-            completed = store.completed_shards()
-            for shard in plan.shards:
-                if shard.shard_id in completed:
-                    payloads[shard.shard_id] = store.load_shard(shard.shard_id)
-        else:
-            store.write_manifest(plan)
-    pending = [s for s in plan.shards if s.shard_id not in payloads]
-    if pending:
-        executor: Union[SerialExecutor, MultiprocessExecutor]
-        if workers <= 1:
-            executor = SerialExecutor(campaign)
-        else:
-            executor = MultiprocessExecutor(source, workers)
-        for shard_id, payload in executor.run(pending):
-            if store is not None:
-                store.write_shard(shard_id, payload)
-            payloads[shard_id] = payload
-    return payloads
-
-
 def run_timeline(
     config: TimelineConfig,
     *,
@@ -156,12 +118,10 @@ def run_timeline(
         world = timeline.world(epoch)
         changes = timeline.changes(epoch)
         campaign = MeasurementCampaign(world, limit=limit)
-        target = campaign.ranked_sites()
-        source = TimelineWorldSource(config, epoch)
-        store = _epoch_store(checkpoint_dir, epoch)
+        target = ranked_sites(world, limit)
 
         if epoch == 0 or full:
-            to_measure = list(target)
+            to_measure = target
         else:
             changed = set(changes.changed)
             to_measure = [
@@ -176,32 +136,20 @@ def run_timeline(
             ),
             shards=tuple(partition_sites(to_measure, shards)),
         )
+        measured: list[WebsiteMeasurement] = []
         if to_measure:
-            payloads = _measure_plan(
-                campaign, plan, source, workers, store, resume
+            measured, _metrics = execute_plan(
+                campaign, plan, TimelineWorldSource(config, epoch),
+                workers=workers, store=_epoch_store(checkpoint_dir, epoch),
+                resume=resume, stats=CampaignStats(), progress=NullProgress(),
             )
-        else:
-            payloads = {}
-
-        measured: dict[str, WebsiteMeasurement] = {}
-        for shard in plan.shards:
-            if shard.shard_id not in payloads:
-                continue
-            websites, _metrics = shard_payload_from_json(
-                payloads[shard.shard_id]
-            )
-            for record in websites:
-                measured[record.domain] = record
-
-        spliced: list[WebsiteMeasurement] = []
-        for domain, _rank in target:
-            record = measured.get(domain)
-            if record is None:
-                record = prev_records[domain]
-            spliced.append(record)
+        fresh = {record.domain: record for record in measured}
 
         dataset = Dataset(year=world.year)
-        dataset.websites.extend(spliced)
+        for domain, _rank in target:
+            dataset.websites.append(
+                fresh[domain] if domain in fresh else prev_records[domain]
+            )
         campaign.run_interservice(dataset)
 
         prev_records = {r.domain: r for r in dataset.websites}

@@ -1,59 +1,135 @@
-"""Shard merger: recombine shard payloads into one dataset.
+"""Plan execution: the one path from a campaign plan to merged records.
+
+``run_campaign`` and ``run_timeline`` both hand their plan to
+:func:`execute_plan`, which owns everything between planning and the
+inter-service pass.
 
 Shards are concatenated in shard-id order (= global rank order, because
-the planner slices contiguously), then the campaign's inter-service
-pass runs once over the merged observed-provider sets. Because that
-pass derives everything from ``dataset.websites``, the merged output is
-byte-identical to a serial run regardless of shard count, worker count,
-or the completion order the executor happened to produce.
-
-Telemetry metrics merge the same way: per-shard registry states (drained
-into the shard payloads by the executor) are folded in shard-id order —
-integer arithmetic, so the fold is exact and associative — then the
-inter-service pass's own metrics (recorded once, in this process) ride
-on top. The campaign aggregate is therefore byte-identical for any
+the planner slices contiguously), so the caller's inter-service pass
+sees the website list a serial run does, regardless of shard count,
+worker count, or the completion order the executor happened to produce.
+Telemetry metrics merge the same way: per-shard registry states are
+folded in shard-id order — integer arithmetic, so the fold is exact and
+associative — and the caller adds the inter-service pass's own metrics
+on top, so the campaign aggregate is byte-identical for any
 worker/shard count, exactly like the dataset.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Optional, Union
 
+from repro.engine.checkpoint import CheckpointStore
+from repro.engine.executor import (
+    MultiprocessExecutor,
+    SerialExecutor,
+    WorldSource,
+)
 from repro.engine.plan import CampaignPlan
+from repro.engine.progress import CampaignStats, ProgressReporter
 from repro.measurement.io import shard_payload_from_json
-from repro.measurement.records import Dataset
+from repro.measurement.records import WebsiteMeasurement
 from repro.measurement.runner import MeasurementCampaign
+from repro.telemetry.context import TelemetryConfig
 from repro.telemetry.metrics import MetricsRegistry
+from repro.worldgen.config import WorldConfig
 
 
-def merge_shards(
+def execute_plan(
     campaign: MeasurementCampaign,
     plan: CampaignPlan,
-    payloads: Mapping[int, str],
-) -> Dataset:
-    """Merge shard JSON payloads and run the inter-service pass.
+    source: Union[WorldConfig, WorldSource],
+    *,
+    workers: int,
+    store: Optional[CheckpointStore],
+    resume: bool,
+    stats: CampaignStats,
+    progress: ProgressReporter,
+) -> tuple[list[WebsiteMeasurement], Optional[MetricsRegistry]]:
+    """Measure a plan's shards and decode them into rank-ordered records.
 
-    When the campaign carries a metrics registry, every shard payload
-    must carry drained metrics; a shard without them (checkpointed by a
-    telemetry-less run) raises ``ValueError`` rather than silently
-    under-counting the aggregate. The merged registry lands in
-    ``campaign.telemetry.campaign_metrics``.
+    With a ``store``, a fresh directory gets the plan's manifest; a
+    directory that already holds one needs ``resume=True``, is validated
+    against the plan, and its completed shards are loaded instead of
+    re-measured. Pending shards run on ``campaign`` (one worker) or on
+    a pool whose workers rebuild the world from ``source``, and each is
+    persisted as it finishes. Every payload — fresh or resumed — must
+    list exactly its shard's domains in rank order, or ``ValueError``
+    names the shard. Closes the ``plan`` and ``measure`` phases on
+    ``stats``.
+
+    Returns the records plus, when the campaign collects metrics, the
+    shards' metrics folded in shard-id order (``None`` otherwise). A
+    shard without metrics (checkpointed by a telemetry-less run) then
+    raises ``ValueError`` rather than silently under-counting.
     """
-    missing = [s.shard_id for s in plan.shards if s.shard_id not in payloads]
-    if missing:
-        raise ValueError(f"cannot merge: shards {missing} have no payload")
+    payloads: dict[int, str] = {}
+    if store is not None:
+        if store.has_manifest():
+            if not resume:
+                raise ValueError(
+                    f"checkpoint directory {store.directory} already holds "
+                    f"a campaign; pass resume=True (--resume) to continue "
+                    f"it, or point at a fresh directory"
+                )
+            store.validate_manifest(plan)
+            completed = store.completed_shards()
+            for shard in plan.shards:
+                if shard.shard_id in completed:
+                    payloads[shard.shard_id] = store.load_shard(shard.shard_id)
+        else:
+            store.write_manifest(plan)
+
+    pending = [s for s in plan.shards if s.shard_id not in payloads]
+    stats.workers = workers
+    stats.shards_total = len(plan.shards)
+    stats.shards_skipped = len(plan.shards) - len(pending)
+    stats.sites_total = plan.n_sites
+    stats.finish_phase("plan", progress)
+    progress.on_plan(stats)
+
     tel = campaign.telemetry
     collect = tel is not None and tel.metrics is not None
-    merged = MetricsRegistry()
-    dataset = Dataset(year=campaign.world.year)
-    for shard in plan.shards:
-        websites, metrics = shard_payload_from_json(payloads[shard.shard_id])
-        if len(websites) != shard.n_sites:
-            raise ValueError(
-                f"shard {shard.shard_id} payload has {len(websites)} "
-                f"websites but the plan expects {shard.n_sites}"
+    if pending:
+        executor: Union[SerialExecutor, MultiprocessExecutor]
+        if workers <= 1:
+            # Shares `campaign` with the merge pass — see SerialExecutor.
+            executor = SerialExecutor(campaign)
+        else:
+            # Workers get a metrics-only facade rebuilt from a picklable
+            # config (tracing stays in-process: site traces need the
+            # serial path so one world observes the whole campaign).
+            executor = MultiprocessExecutor(
+                source,
+                workers,
+                region=campaign.region,
+                fault_plan=campaign.fault_plan,
+                telemetry_config=(
+                    TelemetryConfig(metrics=True) if collect else None
+                ),
             )
-        if collect:
+        sites_by_id = {s.shard_id: s.n_sites for s in pending}
+        for shard_id, payload in executor.run(pending):
+            if store is not None:
+                store.write_shard(shard_id, payload)
+            payloads[shard_id] = payload
+            stats.shards_done += 1
+            stats.sites_done += sites_by_id[shard_id]
+            progress.on_shard_done(shard_id, sites_by_id[shard_id], stats)
+    stats.finish_phase("measure", progress)
+
+    merged = MetricsRegistry() if collect else None
+    websites: list[WebsiteMeasurement] = []
+    for shard in plan.shards:
+        records, metrics = shard_payload_from_json(payloads[shard.shard_id])
+        if [r.domain for r in records] != [d for d, _ in shard.sites]:
+            raise ValueError(
+                f"shard {shard.shard_id} payload lists {len(records)} "
+                f"websites that do not match the plan's {shard.n_sites} "
+                f"sites in rank order; delete the damaged checkpoint "
+                f"shard and resume, or use a fresh checkpoint directory"
+            )
+        if merged is not None:
             if metrics is None:
                 raise ValueError(
                     f"cannot merge metrics: shard {shard.shard_id} was "
@@ -62,12 +138,5 @@ def merge_shards(
                     f"directory"
                 )
             merged.merge_dict(metrics)
-        dataset.websites.extend(websites)
-    campaign.run_interservice(dataset)
-    if collect:
-        assert tel is not None
-        remainder = tel.drain_metrics()
-        if remainder is not None:
-            merged.merge_dict(remainder)
-        tel.campaign_metrics = merged.to_dict()
-    return dataset
+        websites.extend(records)
+    return websites, merged

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.faults.plan import FaultPlan
+from repro.measurement.runner import ranked_sites
 from repro.worldgen.config import WorldConfig
 from repro.worldgen.world import World
 
@@ -151,19 +152,11 @@ def plan_campaign(
     limit: Optional[int] = None,
     region: Optional[str] = None,
     fault_plan: Optional[FaultPlan] = None,
-    epoch: Optional[int] = None,
 ) -> CampaignPlan:
     """Plan a campaign against ``world``'s ranked website list."""
-    from repro.measurement.runner import MeasurementCampaign
-
-    campaign = MeasurementCampaign(
-        world, limit=limit, region=region, fault_plan=fault_plan
-    )
-    sites = campaign.ranked_sites()
     return CampaignPlan(
         fingerprint=WorldFingerprint.of(
-            world.config, region=region, limit=limit, fault_plan=fault_plan,
-            epoch=epoch,
+            world.config, region=region, limit=limit, fault_plan=fault_plan
         ),
-        shards=tuple(partition_sites(sites, n_shards)),
+        shards=tuple(partition_sites(ranked_sites(world, limit), n_shards)),
     )

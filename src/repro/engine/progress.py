@@ -42,9 +42,19 @@ class CampaignStats:
     workers: int = 1
     phase_seconds: dict[str, float] = field(default_factory=dict)
     _timer: Optional[PhaseTimer] = None
+    _phase_mark: float = 0.0  # ``elapsed`` when the running phase began
 
     def start(self) -> None:
         self._timer = PhaseTimer()
+        self._phase_mark = 0.0
+
+    def finish_phase(self, name: str, progress: ProgressReporter) -> None:
+        """Close the running phase: add its seconds, start the next."""
+        now = self.elapsed
+        seconds = now - self._phase_mark
+        self._phase_mark = now
+        self.phase_seconds[name] = self.phase_seconds.get(name, 0.0) + seconds
+        progress.on_phase(name, seconds, self)
 
     @property
     def elapsed(self) -> float:

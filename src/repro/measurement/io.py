@@ -271,34 +271,3 @@ def load_dataset(path: str) -> Dataset:
     """Read a dataset from a JSON file."""
     with open(path, encoding="utf-8") as handle:
         return dataset_from_json(handle.read())
-
-
-# Parsed-dataset cache for long-lived processes (the stats/analyze CLI
-# paths, test drivers): abspath → ((mtime_ns, size), Dataset). Bounded
-# and invalidated by stat identity, so an edited file re-parses and a
-# repeated path costs one stat() instead of a full JSON decode.
-_DATASET_CACHE_CAPACITY = 4
-_dataset_cache: dict[str, tuple[tuple[int, int], Dataset]] = {}
-
-
-def load_dataset_cached(path: str) -> Dataset:
-    """Like :func:`load_dataset`, but reuse the parsed dataset when the
-    same file (same path, mtime, and size) is requested again in this
-    process. Callers must treat the returned dataset as read-only."""
-    import os
-
-    resolved = os.path.abspath(path)
-    status = os.stat(resolved)
-    stamp = (status.st_mtime_ns, status.st_size)
-    cached = _dataset_cache.get(resolved)
-    if cached is not None and cached[0] == stamp:
-        # Re-insert for LRU recency (dicts iterate in insertion order).
-        _dataset_cache.pop(resolved)
-        _dataset_cache[resolved] = cached
-        return cached[1]
-    dataset = load_dataset(resolved)
-    if cached is None and len(_dataset_cache) >= _DATASET_CACHE_CAPACITY:
-        _dataset_cache.pop(next(iter(_dataset_cache)))
-    _dataset_cache.pop(resolved, None)
-    _dataset_cache[resolved] = (stamp, dataset)
-    return dataset

@@ -44,6 +44,17 @@ def ca_directory(world: World) -> dict[str, str]:
     return directory
 
 
+def ranked_sites(
+    world: World, limit: Optional[int] = None
+) -> list[tuple[str, int]]:
+    """A campaign's target list: (domain, rank), rank-ordered, truncated
+    to ``limit``. This is the unit the engine shards."""
+    websites = sorted(world.spec.websites, key=lambda w: w.rank)
+    if limit is not None:
+        websites = websites[:limit]
+    return [(w.domain, w.rank) for w in websites]
+
+
 class MeasurementCampaign:
     """Runs the full Section 3 pipeline against one world.
 
@@ -105,14 +116,6 @@ class MeasurementCampaign:
         """The CA operating a revocation endpoint (by its base domain)."""
         base = registrable_domain(host, icann_psl()) or host
         return self._ca_directory.get(base, base)
-
-    def ranked_sites(self) -> list[tuple[str, int]]:
-        """The campaign's target list: (domain, rank), rank-ordered,
-        truncated to ``limit``. This is the unit the engine shards."""
-        websites = sorted(self._world.spec.websites, key=lambda w: w.rank)
-        if self._limit is not None:
-            websites = websites[: self._limit]
-        return [(w.domain, w.rank) for w in websites]
 
     def measure_site(self, domain: str, rank: int) -> WebsiteMeasurement:
         """Measure one website: crawl, DNS, TLS (+ endpoint SOAs), CDN.
@@ -197,7 +200,7 @@ class MeasurementCampaign:
     def run(self) -> Dataset:
         """Measure every website, then the observed providers."""
         dataset = Dataset(year=self._world.year)
-        for domain, rank in self.ranked_sites():
+        for domain, rank in ranked_sites(self._world, self._limit):
             dataset.websites.append(self.measure_site(domain, rank))
         self.run_interservice(dataset)
         return dataset

@@ -524,47 +524,19 @@ class TestStoreCli:
         assert "google.com" in out
 
 
-class TestStatsDatasetCache:
-    def test_stats_reuses_the_parsed_dataset(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        """Two ``stats`` runs over the same unchanged file must parse
-        the JSON once; editing the file must trigger a re-parse."""
-        from repro.measurement import io as io_module
-
+class TestStatsDataset:
+    def test_stats_reads_the_dataset_on_disk(self, capsys, tmp_path):
+        """Each ``stats`` run reports the file as it is now: rewriting
+        the dataset changes the next report."""
         dataset_path = tmp_path / "d.json"
-        assert main(
-            ["measure", *ARGS, "--limit", "10", "--quiet",
-             "--out", str(dataset_path)]
-        ) == 0
-        first_text = dataset_path.read_text(encoding="utf-8")
-        assert main(
-            ["measure", *ARGS, "--limit", "12", "--quiet",
-             "--out", str(dataset_path)]
-        ) == 0
-        second_text = dataset_path.read_text(encoding="utf-8")
-        dataset_path.write_text(first_text, encoding="utf-8")
-
-        calls = {"n": 0}
-        real_parse = io_module.dataset_from_json
-
-        def counting_parse(text):
-            calls["n"] += 1
-            return real_parse(text)
-
-        monkeypatch.setattr(io_module, "dataset_from_json", counting_parse)
-        io_module._dataset_cache.clear()
-
-        assert main(["stats", str(dataset_path), "--json"]) == 0
-        assert main(["stats", str(dataset_path), "--json"]) == 0
-        assert calls["n"] == 1  # second run served from the cache
-        capsys.readouterr()
-
-        dataset_path.write_text(second_text, encoding="utf-8")
-        assert main(["stats", str(dataset_path), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert calls["n"] == 2  # edited file re-parsed exactly once
-        assert payload["counters"]["sites"] == 12
+        for limit in (10, 12):
+            assert main(
+                ["measure", *ARGS, "--limit", str(limit), "--quiet",
+                 "--out", str(dataset_path)]
+            ) == 0
+            assert main(["stats", str(dataset_path), "--json"]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["counters"]["sites"] == limit
 
 
 class TestServeClientCli:

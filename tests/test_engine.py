@@ -77,6 +77,11 @@ class TestPlanning:
             n_websites=ENGINE_N, seed=ENGINE_SEED, year=2020, limit=50
         )
 
+    def test_planning_leaves_the_world_fault_free(self, engine_config):
+        world = build_world(engine_config)
+        plan_campaign(world, n_shards=2, fault_plan=_chaos_plan())
+        assert world.fault_injector is None
+
     def test_fingerprint_json_roundtrip(self):
         fp = WorldFingerprint(
             n_websites=300, seed=9, year=2016, region="eu", limit=10
@@ -233,6 +238,31 @@ class TestStaleCheckpoints:
         payload["shards"][0]["sites_sha256"] = "0" * 64
         manifest_path.write_text(json.dumps(payload))
         with pytest.raises(StaleCheckpointError, match="different site list"):
+            run_campaign(
+                engine_config,
+                shards=3,
+                workers=1,
+                checkpoint_dir=str(checkpointed),
+                resume=True,
+            )
+
+    @pytest.mark.parametrize("damage", ["truncated", "swapped"])
+    def test_damaged_shard_is_refused(
+        self, engine_config, checkpointed, damage
+    ):
+        """A shard file whose records are not its planned sites, in rank
+        order, is refused on resume — a dropped record, or a same-size
+        payload for another shard's sites."""
+        first = checkpointed / "shard-0000.json"
+        payload = json.loads(first.read_text())
+        if damage == "truncated":
+            payload["websites"].pop()
+        else:
+            other = json.loads((checkpointed / "shard-0001.json").read_text())
+            assert len(other["websites"]) == len(payload["websites"])
+            payload["websites"] = other["websites"]
+        first.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="shard 0 .* do not match"):
             run_campaign(
                 engine_config,
                 shards=3,

@@ -7,6 +7,8 @@ the engine's determinism guarantee, and what lets `BENCH_epoch.json` claim
 the incremental path is a pure speedup rather than an approximation.
 """
 
+import json
+
 import pytest
 
 from repro.engine.epochs import EpochResult, run_timeline
@@ -96,6 +98,20 @@ class TestCheckpointResume:
         )
         for result, expected in zip(results, full_bytes):
             assert dataset_to_json(result.dataset) == expected
+
+    def test_truncated_epoch_shard_is_refused_on_resume(self, tmp_path):
+        """A record dropped from a later epoch's shard must not be
+        papered over with the previous epoch's record for that site."""
+        root = tmp_path / "ckpt"
+        run_timeline(CFG, shards=2, checkpoint_dir=root, epochs=[1])
+        shard = root / "epoch-0001" / "shard-0000.json"
+        payload = json.loads(shard.read_text())
+        payload["websites"].pop()
+        shard.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="shard 0"):
+            run_timeline(
+                CFG, shards=2, checkpoint_dir=root, epochs=[1], resume=True
+            )
 
     def test_dirty_checkpoint_without_resume_rejected(self, tmp_path):
         root = tmp_path / "ckpt"

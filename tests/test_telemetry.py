@@ -349,7 +349,7 @@ class TestTracingUnderFaults:
     ):
         from repro import WorldConfig, build_world
         from repro.faults import FaultPlan, FaultRule
-        from repro.measurement.runner import MeasurementCampaign
+        from repro.measurement.runner import MeasurementCampaign, ranked_sites
 
         plan = FaultPlan(
             rules=(
@@ -368,7 +368,7 @@ class TestTracingUnderFaults:
         campaign = MeasurementCampaign(
             world, limit=3, fault_plan=plan, telemetry=telemetry
         )
-        for domain, rank in campaign.ranked_sites():
+        for domain, rank in ranked_sites(world, limit=3):
             campaign.measure_site(domain, rank)
         assert telemetry.tracer.open_spans == 0
         roots = telemetry.tracer.drain()
