@@ -37,12 +37,12 @@ from repro.core.graph import ProviderNode, ServiceType, website_graph_edges
 from repro.core.pipeline import (
     AnalyzedSnapshot,
     _endpoint_ca_names,
+    _nameserver_bases,
     _nameserver_concentrations,
     classify_interservice,
     classify_website,
 )
 from repro.measurement.records import Dataset
-from repro.names.registrable import registrable_domain
 
 
 def _edge_pairs(
@@ -58,13 +58,6 @@ def _edge_pairs(
         key = (consumer, provider)
         pairs[key] = pairs.get(key, False) or critical
     return pairs
-
-
-def _site_nameserver_bases(measurement) -> set[str]:
-    return {
-        registrable_domain(nameserver) or nameserver
-        for nameserver in measurement.dns.nameservers
-    }
 
 
 def refresh_snapshot(
@@ -83,8 +76,9 @@ def refresh_snapshot(
     ``prev`` — refreshing across different scales is not meaningful.
     """
     threshold = prev.concentration_threshold
-    old_concentrations = _nameserver_concentrations(prev.dataset)
-    new_concentrations = _nameserver_concentrations(dataset)
+    bases = _nameserver_bases(prev.dataset, dataset)
+    old_concentrations = _nameserver_concentrations(prev.dataset, bases)
+    new_concentrations = _nameserver_concentrations(dataset, bases)
     concentration_of = lambda base: new_concentrations.get(base, 0)  # noqa: E731
     flipped_bases = {
         base
@@ -121,7 +115,7 @@ def refresh_snapshot(
         stale = (
             previous is None
             or domain in changed_set
-            or (flipped_bases & _site_nameserver_bases(measurement))
+            or not flipped_bases.isdisjoint(bases[id(measurement)])
             or (previous.ca.ca_host and previous.ca.ca_host in renamed_hosts)
         )
         if stale:

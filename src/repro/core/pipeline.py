@@ -119,16 +119,37 @@ class AnalyzedSnapshot:
         return [w for w in self.websites if w.uses_cdn]
 
 
-def _nameserver_concentrations(dataset: Dataset) -> dict[str, int]:
-    """First pass: websites served per nameserver registrable domain."""
+def _nameserver_bases(*datasets: Dataset) -> dict[int, tuple[str, ...]]:
+    """Each record's distinct nameserver registrable domains, first-seen order.
+
+    Keyed by record identity: across timeline epochs the datasets share
+    the record objects of unchanged sites, so a record shared by several
+    datasets pays for its PSL lookups once.
+    """
+    bases: dict[int, tuple[str, ...]] = {}
+    for dataset in datasets:
+        for website in dataset.websites:
+            if id(website) not in bases:
+                bases[id(website)] = tuple(dict.fromkeys(
+                    registrable_domain(nameserver) or nameserver
+                    for nameserver in website.dns.nameservers
+                ))
+    return bases
+
+
+def _nameserver_concentrations(
+    dataset: Dataset, bases: Optional[dict[int, tuple[str, ...]]] = None
+) -> dict[str, int]:
+    """First pass: websites served per nameserver registrable domain.
+
+    ``bases`` is a :func:`_nameserver_bases` map covering ``dataset``.
+    """
+    if bases is None:
+        bases = _nameserver_bases(dataset)
     counts: dict[str, int] = {}
     for website in dataset.websites:
-        seen: set[str] = set()
-        for nameserver in website.dns.nameservers:
-            base = registrable_domain(nameserver) or nameserver
-            if base not in seen:
-                seen.add(base)
-                counts[base] = counts.get(base, 0) + 1
+        for base in bases[id(website)]:
+            counts[base] = counts.get(base, 0) + 1
     return counts
 
 

@@ -117,6 +117,8 @@ class DnsNetwork:
         region: Optional[str],
         attempt: int,
     ) -> bytes:
+        """Decode the query once, apply the drawn fault to the decoded
+        message, and encode the outcome once."""
         assert self._fault_injector is not None
         query = DnsMessage.from_wire(wire_query)
         question = query.question
@@ -124,14 +126,14 @@ class DnsNetwork:
         qtype = question.qtype.name if question is not None else ""
         rule = self._fault_injector.dns_fault(server.name, ip, qname, qtype, attempt)
         if rule is None:
-            return server.handle_wire(wire_query, region)
+            return server.handle(query, region).to_wire()
         if rule.kind == "drop":
             self.timeouts += 1
             raise ServerUnavailableError(ip)
         if rule.kind == "slow":
             if self._fault_clock is not None:
                 self._fault_clock.advance(rule.delay)
-            return server.handle_wire(wire_query, region)
+            return server.handle(query, region).to_wire()
         if rule.kind == "servfail":
             return query.response(RCode.SERVFAIL, aa=False).to_wire()
         if rule.kind == "refused":
@@ -141,7 +143,7 @@ class DnsNetwork:
             return query.response(RCode.NOERROR, aa=False).to_wire()
         # truncate: the real response with TC set and sections clipped,
         # exactly what an oversized UDP answer looks like to a stub.
-        response = DnsMessage.from_wire(server.handle_wire(wire_query, region))
+        response = server.handle(query, region)
         response.tc = True
         response.answers = []
         response.authorities = []

@@ -13,7 +13,6 @@ from repro.dnssim.message import DnsMessage, RCode
 from repro.dnssim.records import RRType, ResourceRecord
 from repro.dnssim.zone import LookupKind, Zone
 from repro.names.normalize import normalize
-from repro.names.registrable import is_subdomain_of
 
 
 class AuthoritativeServer:
@@ -47,14 +46,20 @@ class AuthoritativeServer:
         return list(self._zones.values())
 
     def zone_for(self, qname: str) -> Optional[Zone]:
-        """The most specific served zone enclosing ``qname``."""
-        qname = normalize(qname)
-        best: Optional[Zone] = None
-        for origin, zone in self._zones.items():
-            if origin == "" or is_subdomain_of(qname, origin):
-                if best is None or len(origin) > len(best.origin):
-                    best = zone
-        return best
+        """The most specific served zone enclosing ``qname``.
+
+        Probes the name and then each ancestor, dropping one leftmost label
+        at a time down to the root origin ``""``: the first served origin
+        hit is the longest enclosing one. The cost is O(labels), not
+        O(zones served), which matters for shared nameservers hosting a
+        zone per customer.
+        """
+        name = normalize(qname)
+        while True:
+            zone = self._zones.get(name)
+            if zone is not None or not name:
+                return zone
+            name = name.partition(".")[2]
 
     # -- query handling ----------------------------------------------------
 

@@ -94,10 +94,11 @@ class Zone:
             raise ZoneError(f"{name!r} is outside zone {self.origin!r}")
         rr = ResourceRecord(name, ttl, rdata)
         key = (name, rr.rrtype)
-        existing_types = {t for (n, t) in self._records if n == name}
-        if rr.rrtype == RRType.CNAME and existing_types - {RRType.CNAME}:
+        if rr.rrtype == RRType.CNAME and any(
+            t != RRType.CNAME for t in self._types_at(name)
+        ):
             raise ZoneError(f"cannot add CNAME at {name!r}: other data exists")
-        if rr.rrtype != RRType.CNAME and RRType.CNAME in existing_types:
+        if rr.rrtype != RRType.CNAME and (name, RRType.CNAME) in self._records:
             raise ZoneError(f"cannot add {rr.rrtype.name} at {name!r}: CNAME exists")
         self._records.setdefault(key, [])
         if rr not in self._records[key]:
@@ -139,16 +140,16 @@ class Zone:
     def delete(self, name: str, rrtype: Optional[RRType] = None) -> int:
         """Remove records at ``name`` (optionally one type); returns count."""
         name = normalize(name)
-        keys = [
-            k for k in self._records
-            if k[0] == name and (rrtype is None or k[1] == rrtype)
-        ]
-        removed = sum(len(self._records[k]) for k in keys)
-        for k in keys:
-            del self._records[k]
-        if not any(n == name for (n, _) in self._records):
+        types = self._types_at(name) if rrtype is None else [rrtype]
+        removed = sum(len(self._records.pop((name, t), [])) for t in types)
+        if not self._types_at(name):
             self._names.discard(name)
         return removed
+
+    def _types_at(self, name: str) -> list[RRType]:
+        """The record types held at ``name``: one probe per RRType, not a
+        scan of the zone (a TLD zone holds a delegation per site)."""
+        return [t for t in RRType if (name, t) in self._records]
 
     # -- lookup ------------------------------------------------------------
 

@@ -1,6 +1,9 @@
 """Unit tests for the authoritative server and network fabric."""
 
+from typing import Optional
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dnssim.errors import ServerUnavailableError
 from repro.dnssim.message import DnsMessage, RCode
@@ -14,6 +17,8 @@ from repro.dnssim.records import (
 )
 from repro.dnssim.server import AuthoritativeServer
 from repro.dnssim.zone import Zone
+from repro.names.normalize import normalize
+from repro.names.registrable import is_subdomain_of
 
 
 @pytest.fixture
@@ -80,6 +85,66 @@ class TestServer:
         before = server.queries_handled
         server.handle(DnsMessage.query("example.com", RRType.A))
         assert server.queries_handled == before + 1
+
+
+def _scan_zone_for(server: AuthoritativeServer, qname: str) -> Optional[Zone]:
+    """The linear scan ``zone_for`` replaced: every served origin is
+    tested, and the longest enclosing one wins."""
+    qname = normalize(qname)
+    best: Optional[Zone] = None
+    for zone in server.zones():
+        origin = zone.origin
+        if origin == "" or is_subdomain_of(qname, origin):
+            if best is None or len(origin) > len(best.origin):
+                best = zone
+    return best
+
+
+_LABELS = st.sampled_from(["com", "net", "example", "cdn", "www", "a", "b", "ns1"])
+_ORIGINS = st.lists(_LABELS, min_size=0, max_size=4).map(".".join)
+
+
+@st.composite
+def _query_names(draw) -> str:
+    """Names in presentation form: mixed case, an optional trailing dot,
+    and labels that may lie under no served zone."""
+    labels = draw(st.lists(_LABELS | st.just("elsewhere"), min_size=0, max_size=6))
+    name = ".".join(
+        label.upper() if draw(st.booleans()) else label for label in labels
+    )
+    return name + "." if draw(st.booleans()) else name
+
+
+class TestZoneSelection:
+    """``zone_for`` walks the query name's suffixes; it must pick exactly
+    the zone a scan over every served origin picks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        origins=st.lists(_ORIGINS, min_size=0, max_size=8, unique=True),
+        qnames=st.lists(_query_names(), min_size=1, max_size=10),
+    )
+    def test_matches_linear_scan(self, origins, qnames):
+        server = AuthoritativeServer("ns.host.net", ["10.0.0.1"])
+        for origin in origins:
+            server.serve_zone(Zone(origin, SOARecord("ns.host.net", "admin.host.net")))
+        for qname in qnames:
+            assert server.zone_for(qname) is _scan_zone_for(server, qname)
+
+    def test_nested_sibling_and_root(self):
+        server = AuthoritativeServer("ns.host.net", ["10.0.0.1"])
+        for origin in ("", "com", "example.com", "a.example.com", "b.example.com"):
+            server.serve_zone(Zone(origin, SOARecord("ns.host.net", "admin.host.net")))
+        assert server.zone_for("X.A.Example.COM.").origin == "a.example.com"
+        assert server.zone_for("b.example.com").origin == "b.example.com"
+        assert server.zone_for("c.example.com").origin == "example.com"
+        assert server.zone_for("other.org").origin == ""
+        assert server.zone_for(".").origin == ""
+
+    def test_no_enclosing_zone(self, server):
+        assert server.zone_for("example.org") is None
+        assert server.zone_for("") is None
+        assert server.zone_for("com") is None
 
 
 class TestNetwork:

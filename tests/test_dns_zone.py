@@ -3,8 +3,10 @@
 import pytest
 
 from repro.dnssim.records import (
+    AAAARecord,
     ARecord,
     CNAMERecord,
+    MXRecord,
     NSRecord,
     RRType,
     SOARecord,
@@ -53,6 +55,72 @@ class TestConstruction:
     def test_contains(self, zone):
         assert "www.example.com" in zone
         assert "nope.example.com" not in zone
+
+
+#: One rdata per record type, for the exclusivity matrix below.
+_RDATA = {
+    RRType.A: ARecord("10.0.0.1"),
+    RRType.NS: NSRecord("ns1.example.net"),
+    RRType.CNAME: CNAMERecord("target.example.net"),
+    RRType.SOA: SOARecord("ns1.example.net", "admin.example.net"),
+    RRType.MX: MXRecord(10, "mx.example.net"),
+    RRType.TXT: TXTRecord("v=spf1 -all"),
+    RRType.AAAA: AAAARecord("2001:db8::1"),
+}
+
+
+def _scan_conflict(zone: Zone, name: str, rrtype: RRType) -> bool:
+    """The CNAME-exclusivity rule as a scan over every record in the zone,
+    the way ``Zone.add`` used to decide it."""
+    existing = {rr.rrtype for rr in zone.all_records() if rr.name == name}
+    if rrtype == RRType.CNAME:
+        return bool(existing - {RRType.CNAME})
+    return RRType.CNAME in existing
+
+
+class TestRecordTypeIndex:
+    """``add`` and ``delete`` probe the (name, type) keys directly; these
+    pin them to the behaviour of a scan over the whole zone."""
+
+    @pytest.mark.parametrize("first", list(RRType), ids=lambda t: t.name)
+    @pytest.mark.parametrize("second", list(RRType), ids=lambda t: t.name)
+    def test_cname_conflicts_match_a_scan(self, zone, first, second):
+        name = "host.example.com"
+        zone.add(name, _RDATA[first])
+        expected = _scan_conflict(zone, name, second)
+        assert expected == ((first == RRType.CNAME) != (second == RRType.CNAME))
+        if expected:
+            with pytest.raises(ZoneError):
+                zone.add(name, _RDATA[second])
+        else:
+            zone.add(name, _RDATA[second])
+            assert zone.records_at(name, second)
+
+    def test_other_names_do_not_conflict(self, zone):
+        zone.add("a.example.com", CNAMERecord("x.example.net"))
+        zone.add("b.example.com", ARecord("10.0.0.2"))
+        zone.add("b.a.example.com", TXTRecord("below a CNAME owner"))
+        assert zone.records_at("b.a.example.com", RRType.TXT)
+
+    def test_delete_keeps_the_name_until_its_last_record(self, zone):
+        zone.add("mail.example.com", TXTRecord("v=spf1 -all"))
+        zone.add("mail.example.com", MXRecord(5, "mx.example.net"))
+        assert zone.delete("mail.example.com", RRType.TXT) == 1
+        assert "mail.example.com" in zone.names()
+        assert zone.delete("mail.example.com", RRType.TXT) == 0
+        assert "mail.example.com" in zone.names()
+        assert zone.delete("mail.example.com", RRType.A) == 1
+        assert "mail.example.com" in zone.names()
+        assert zone.delete("mail.example.com", RRType.MX) == 1
+        assert "mail.example.com" not in zone.names()
+
+    def test_delete_all_types(self, zone):
+        zone.add("mail.example.com", ARecord("10.0.0.10"))
+        zone.add("mail.example.com", TXTRecord("v=spf1 -all"))
+        assert zone.delete("Mail.Example.COM.") == 3
+        assert "mail.example.com" not in zone.names()
+        assert zone.records_at("mail.example.com", RRType.A) == []
+        assert "example.com" in zone.names()
 
 
 class TestLookup:
