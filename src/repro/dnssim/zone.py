@@ -21,9 +21,12 @@ from repro.dnssim.records import (
     SOARecord,
 )
 from repro.names.normalize import normalize, split_labels
-from repro.names.registrable import is_subdomain_of
 
 DEFAULT_TTL = 300
+
+#: Every record type, for per-type key probes (iterating the enum class
+#: itself is much slower than iterating a tuple).
+_RRTYPES = tuple(RRType)
 
 
 class ZoneError(DnsError):
@@ -149,12 +152,14 @@ class Zone:
     def _types_at(self, name: str) -> list[RRType]:
         """The record types held at ``name``: one probe per RRType, not a
         scan of the zone (a TLD zone holds a delegation per site)."""
-        return [t for t in RRType if (name, t) in self._records]
+        return [t for t in _RRTYPES if (name, t) in self._records]
 
     # -- lookup ------------------------------------------------------------
 
     def _in_zone(self, name: str) -> bool:
-        return is_subdomain_of(name, self.origin) if self.origin else True
+        """Whether normalized ``name`` is the origin or beneath it."""
+        origin = self.origin
+        return not origin or name == origin or name.endswith("." + origin)
 
     def records_at(self, name: str, rrtype: RRType) -> list[ResourceRecord]:
         """Exact-match records (no wildcard expansion)."""

@@ -14,6 +14,13 @@ at this boundary:
 * :meth:`ReproServeDaemon.request_drain` flips the daemon into
   draining mode — new requests get 503 while in-flight handlers finish
   (``block_on_close`` joins them) — which is also the SIGTERM path.
+  It also shuts the read side of every open connection, so a handler
+  idling between keep-alive requests reads EOF and exits instead of
+  holding ``server_close`` open until the client hangs up,
+* ``TCP_NODELAY`` is set on every accepted socket: a response leaves in
+  two sends (headers, then body), and with Nagle on the body would wait
+  for the client's delayed ACK of the headers (~40 ms per keep-alive
+  request).
 
 This is the one module in the repo allowed to read a clock outside the
 measurement layer: deadlines are a property of the socket boundary,
@@ -25,6 +32,7 @@ from __future__ import annotations
 
 import json
 import signal
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -67,6 +75,14 @@ def _shutdown(server: ThreadingHTTPServer) -> None:
     server.shutdown()
 
 
+def _stop_reading(connection: socket.socket) -> None:
+    """Make the handler's next read past its buffer return EOF."""
+    try:
+        connection.shutdown(socket.SHUT_RD)
+    except OSError:
+        pass  # the peer already reset or closed the connection
+
+
 class ReproServeDaemon(ThreadingHTTPServer):
     """A ``repro-serve/1`` daemon over one :class:`ServeService`."""
 
@@ -90,8 +106,14 @@ class ReproServeDaemon(ThreadingHTTPServer):
         self.deadline_s = deadline_s
         self.inflight = threading.BoundedSemaphore(max_inflight)
         self.draining = threading.Event()
-        self._drain_lock = threading.Lock()
+        # Re-entrant: the SIGTERM handler runs request_drain on the
+        # accept-loop thread, possibly while process_request holds it.
+        self._drain_lock = threading.RLock()
         self._drain_started = False
+        # Accepted sockets whose handler has not finished (a dict for
+        # its ordered keys); guarded by _drain_lock so request_drain
+        # sees every one of them.
+        self._connections: dict[socket.socket, None] = {}
         super().__init__((host, port), ServeHandler)
 
     @property
@@ -102,8 +124,25 @@ class ReproServeDaemon(ThreadingHTTPServer):
             host = host.decode("ascii")
         return host, int(self.server_address[1])
 
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._drain_lock:
+            self._connections[request] = None
+            if self._drain_started:
+                _stop_reading(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._drain_lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
     def request_drain(self) -> None:
         """Refuse new work and stop accepting; in-flight finishes.
+
+        Every open connection loses its read side: a handler mid-request
+        still writes its response, while one idle between keep-alive
+        requests reads EOF and exits, so ``server_close`` (which joins
+        the handlers) does not wait on clients that never hang up.
 
         Safe to call from a signal handler or any request thread:
         ``shutdown()`` blocks until the accept loop exits, so it runs
@@ -113,7 +152,9 @@ class ReproServeDaemon(ThreadingHTTPServer):
             if self._drain_started:
                 return
             self._drain_started = True
-        self.draining.set()
+            self.draining.set()
+            for connection in self._connections:
+                _stop_reading(connection)
         threading.Thread(target=_shutdown, args=(self,)).start()
 
     def install_sigterm_drain(self) -> None:
@@ -130,6 +171,9 @@ class ServeHandler(BaseHTTPRequestHandler):
     """Routes ``repro-serve/1`` endpoints onto the service."""
 
     protocol_version = "HTTP/1.1"
+    # A response is two sends (headers, then body); without TCP_NODELAY
+    # Nagle holds the body until the client's delayed ACK of the headers.
+    disable_nagle_algorithm = True
     server: ReproServeDaemon
 
     # The default handler logs every request to stderr; the daemon's

@@ -156,13 +156,7 @@ def _apply_quota(
 
 def _market_weights(market: dict, eff_rank: float) -> tuple[list[str], list[float]]:
     keys = [k for k, spec in market.items() if spec.share_weight > 0]
-    weights = [
-        rankmodel.biased_weight(
-            market[k].share_weight, getattr(market[k], "top_bias", 1.0), eff_rank
-        )
-        for k in keys
-    ]
-    return keys, weights
+    return keys, rankmodel.market_weights((market[k] for k in keys), eff_rank)
 
 
 def _rebalance_market(

@@ -344,10 +344,7 @@ def _draw_dns_setup(
     if rng.random() >= rankmodel.p_third_party_dns(eff_rank, year):
         return DnsSetup(providers=[PRIVATE], soa_masked=False)
     keys = list(dns_market)
-    weights = [
-        rankmodel.biased_weight(p.share_weight, p.top_bias, eff_rank)
-        for p in dns_market.values()
-    ]
+    weights = rankmodel.market_weights(dns_market.values(), eff_rank)
     primary = rankmodel.weighted_choice(rng, keys, weights)
     provider = dns_market[primary]
     p_red = min(
@@ -381,10 +378,7 @@ def _draw_cdns(
     # Only publicly-marketed CDNs are choosable; corner-case private CDNs
     # (entity-named) are wired explicitly.
     keys = [k for k, c in cdn_market.items() if c.share_weight > 0]
-    weights = [
-        rankmodel.biased_weight(cdn_market[k].share_weight, cdn_market[k].top_bias, eff_rank)
-        for k in keys
-    ]
+    weights = rankmodel.market_weights((cdn_market[k] for k in keys), eff_rank)
     primary = rankmodel.weighted_choice(rng, keys, weights)
     cdns = [primary]
     p_multi = min(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Sequence, TypeVar
+from typing import Any, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -125,6 +125,22 @@ def biased_weight(share: float, top_bias: float, eff_rank: float) -> float:
     factor = top_bias_factor(eff_rank)
     effective_bias = top_bias ** factor if top_bias > 0 else 0.0
     return share * effective_bias
+
+
+def market_weights(specs: Iterable[Any], eff_rank: float) -> list[float]:
+    """``biased_weight`` of every provider spec at one rank.
+
+    The rank's top-bias factor is computed once for the whole market,
+    not once per provider. A spec without ``top_bias`` is unbiased.
+    """
+    factor = top_bias_factor(eff_rank)
+    weights = []
+    for spec in specs:
+        top_bias = getattr(spec, "top_bias", 1.0)
+        weights.append(
+            spec.share_weight * (top_bias ** factor if top_bias > 0 else 0.0)
+        )
+    return weights
 
 
 def zipf_weights(count: int, exponent: float = 1.1) -> list[float]:

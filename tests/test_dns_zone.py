@@ -1,6 +1,7 @@
 """Unit tests for authoritative zones."""
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from repro.dnssim.records import (
     AAAARecord,
@@ -13,6 +14,21 @@ from repro.dnssim.records import (
     TXTRecord,
 )
 from repro.dnssim.zone import LookupKind, Zone, ZoneError
+from repro.names.normalize import normalize
+from repro.names.registrable import is_subdomain_of
+
+# Short labels over a two-letter alphabet (the empty label included), so
+# equal names, shared suffixes and "badexample.com"-style near misses
+# come up often.
+_LABELS = st.lists(st.text(alphabet="ab", max_size=2), max_size=4)
+
+
+@st.composite
+def _name_and_origin(draw) -> tuple[str, str]:
+    origin = draw(_LABELS)
+    prefix = draw(_LABELS)
+    name = prefix + origin if draw(st.booleans()) else prefix
+    return ".".join(name), ".".join(origin)
 
 
 @pytest.fixture
@@ -76,6 +92,24 @@ def _scan_conflict(zone: Zone, name: str, rrtype: RRType) -> bool:
     if rrtype == RRType.CNAME:
         return bool(existing - {RRType.CNAME})
     return RRType.CNAME in existing
+
+
+class TestInZone:
+    @given(_name_and_origin())
+    @example(("www.example.com", ""))
+    @example(("example.com", "example.com"))
+    @example(("badexample.com", "example.com"))
+    @example(("a..example.com", "example.com"))
+    @example(("example.com", ".example.com"))
+    @example(("", "example.com"))
+    def test_suffix_test_matches_label_comparison(self, pair):
+        """On normalized names the suffix comparison agrees with the
+        label-wise ``is_subdomain_of``; the root zone holds every name."""
+        name, origin = pair
+        assume(normalize(name) == name and normalize(origin) == origin)
+        zone = Zone(origin, SOARecord("ns1.example.net", "admin.example.net"))
+        expected = is_subdomain_of(name, origin) if origin else True
+        assert zone._in_zone(name) == expected
 
 
 class TestRecordTypeIndex:

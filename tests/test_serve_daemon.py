@@ -4,7 +4,8 @@ The differential harness (test_serve_differential.py) proves the
 *answers*; this file proves the *daemon* — the multi-store registry's
 eviction accounting, the typed refusals at the HTTP boundary (411/413/
 400/404/429/503), byte-stable behavior under an 8-thread hammer against
-two stores, and graceful drain both in-process (kill mid-request) and
+two stores, keep-alive latency at handler speed, and graceful drain
+both in-process (kill mid-request, idle keep-alive clients) and
 end-to-end (SIGTERM to a real ``repro serve`` subprocess).
 """
 
@@ -16,9 +17,12 @@ import os
 import re
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import threading
+import time
+from http.client import HTTPConnection
 
 import pytest
 
@@ -471,6 +475,55 @@ class TestConcurrentHammer:
             assert registry.stats()["open"] == 1
 
 
+# -- keep-alive ---------------------------------------------------------------
+
+
+def _keep_alive_query(
+    conn: HTTPConnection, query: dict, store: str
+) -> tuple[int, bytes]:
+    """One /v1/query over an already-open connection, left open."""
+    body = json.dumps({"store": store, "query": query}).encode("utf-8")
+    conn.request(
+        "POST", "/v1/query", body, {"Content-Type": "application/json"}
+    )
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+class TestKeepAlive:
+    def test_back_to_back_requests_run_at_handler_speed(self, store_paths):
+        """40 requests in a row over one connection: each takes handler
+        time, not a delayed-ACK round trip (~40 ms when Nagle holds the
+        body back), and carries the bytes a fresh connection gets."""
+        service = ServeService(StoreRegistry(store_paths))
+        with running(ReproServeDaemon(service)) as (host, port):
+            queries = [
+                ({"kind": "top", "k": k, "service": service_name}, store)
+                for k in range(1, 6)
+                for service_name in ("dns", "cdn")
+                for store in ("y2016", "y2020")
+            ]
+            expected = [
+                send_query(host, port, dict(query), store=store)
+                for query, store in queries
+            ]
+            assert all(status == 200 for status, _ in expected)
+            conn = HTTPConnection(host, port, timeout=30)
+            elapsed: list[float] = []
+            try:
+                for round_index in range(2):
+                    for index, (query, store) in enumerate(queries):
+                        started = time.perf_counter()
+                        got = _keep_alive_query(conn, dict(query), store)
+                        elapsed.append(time.perf_counter() - started)
+                        assert got == expected[index], (round_index, index)
+            finally:
+                conn.close()
+            assert len(elapsed) >= 30
+            median_ms = statistics.median(elapsed) * 1e3
+            assert median_ms < 20.0, f"median keep-alive request {median_ms:.1f} ms"
+
+
 # -- drain --------------------------------------------------------------------
 
 
@@ -512,27 +565,33 @@ class TestGracefulDrain:
         assert inflight and inflight[0][0] == 200
         assert not thread.is_alive()
 
+    def test_drain_closes_idle_keep_alive_connections(self, store_paths):
+        """A client that keeps its connection open between requests must
+        not hold the drain: its handler reads EOF and exits, so
+        ``server_close`` (which joins handlers) returns promptly."""
+        daemon = ReproServeDaemon(ServeService(StoreRegistry(store_paths)))
+        thread = threading.Thread(target=daemon.serve_forever)
+        thread.start()
+        host, port = daemon.address
+        conn = HTTPConnection(host, port, timeout=30)
+        try:
+            status, _ = _keep_alive_query(conn, {"kind": "top"}, "y2020")
+            assert status == 200
+            daemon.request_drain()
+            thread.join(5)
+            assert not thread.is_alive()
+            closer = threading.Thread(target=daemon.server_close, daemon=True)
+            closer.start()
+            closer.join(5)
+            assert not closer.is_alive(), "server_close waited on an idle client"
+            assert conn.sock.recv(1) == b""  # the daemon closed its end
+        finally:
+            conn.close()
+
     def test_sigterm_drains_a_real_daemon(self, store_paths):
         """End to end: ``repro serve`` subprocess answers a query, gets
         SIGTERM, and exits 0 after announcing the drain."""
-        repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(repo_root, "src")
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                *(f"{name}={path}" for name, path in store_paths.items()),
-            ],
-            env=env,
-            stderr=subprocess.PIPE,
-            text=True,
-            cwd=repo_root,
-        )
-        try:
-            announce = proc.stderr.readline()
-            match = re.search(r"http://([^:]+):(\d+)", announce)
-            assert match, announce
-            host, port = match.group(1), int(match.group(2))
+        with _serve_process(store_paths) as (proc, host, port):
             status, body = send_query(
                 host, port, {"kind": "top", "k": 2}, store="y2020"
             )
@@ -541,7 +600,47 @@ class TestGracefulDrain:
             remaining = proc.stderr.read()
             assert proc.wait(timeout=30) == 0
             assert "drained" in remaining
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait(10)
+
+    def test_sigterm_drains_past_an_idle_keep_alive_client(self, store_paths):
+        """SIGTERM with a keep-alive client idling on an open connection:
+        the daemon still exits 0 without waiting for the client."""
+        with _serve_process(store_paths) as (proc, host, port):
+            conn = HTTPConnection(host, port, timeout=30)
+            try:
+                status, _ = _keep_alive_query(
+                    conn, {"kind": "top", "k": 2}, "y2020"
+                )
+                assert status == 200
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=15) == 0
+                assert "drained" in proc.stderr.read()
+            finally:
+                conn.close()
+
+
+@contextlib.contextmanager
+def _serve_process(store_paths):
+    """A ``repro serve`` subprocess over the stores: (proc, host, port)."""
+    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(repo_root, "src")
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            *(f"{name}={path}" for name, path in store_paths.items()),
+        ],
+        env=env,
+        stderr=subprocess.PIPE,
+        text=True,
+        cwd=repo_root,
+    )
+    try:
+        announce = proc.stderr.readline()
+        match = re.search(r"http://([^:]+):(\d+)", announce)
+        assert match, announce
+        yield proc, match.group(1), int(match.group(2))
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(10)
+        proc.stderr.close()

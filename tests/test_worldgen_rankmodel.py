@@ -1,11 +1,35 @@
 """Unit tests for the rank-dependent adoption curves."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.worldgen import rankmodel
+from repro.worldgen.config import WorldConfig
+from repro.worldgen.generate import build_cdn_market, build_dns_market
+
+
+def _catalog_markets() -> list[list]:
+    """The DNS and CDN markets of both snapshot years, plus one market
+    with a spec lacking ``top_bias`` and one with a zero ``top_bias``."""
+    config = WorldConfig(n_websites=500, seed=3)
+    markets = []
+    for year in (2016, 2020):
+        rng = random.Random(year)
+        dns = build_dns_market(config, year, rng)
+        markets.append(list(dns.values()))
+        markets.append(list(build_cdn_market(config, year, dns, rng).values()))
+    markets.append([
+        SimpleNamespace(share_weight=3.0),
+        SimpleNamespace(share_weight=2.0, top_bias=0.0),
+        SimpleNamespace(share_weight=0.5, top_bias=4.0),
+    ])
+    return markets
+
+
+_MARKETS = _catalog_markets()
 
 
 class TestInterpolationShape:
@@ -56,6 +80,22 @@ class TestBias:
     def test_bias_below_one_suppresses_top(self):
         top = rankmodel.biased_weight(24.0, top_bias=0.3, eff_rank=100)
         assert top < 24.0
+
+    @given(
+        st.sampled_from(range(len(_MARKETS))),
+        st.floats(min_value=0.0, max_value=2_000_000),
+    )
+    def test_market_weights_equal_per_provider_biased_weight(
+        self, market_index, rank
+    ):
+        specs = _MARKETS[market_index]
+        expected = [
+            rankmodel.biased_weight(
+                spec.share_weight, getattr(spec, "top_bias", 1.0), rank
+            )
+            for spec in specs
+        ]
+        assert rankmodel.market_weights(specs, rank) == expected
 
 
 class TestWeightedChoice:
