@@ -193,15 +193,20 @@ class DnsMessage:
         if len(data) < _HEADER.size:
             raise MessageFormatError("message shorter than header")
         msg_id, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data, 0)
+        try:
+            opcode = Opcode((flags >> 11) & 0xF)
+            rcode = RCode(flags & 0xF)
+        except ValueError as exc:
+            raise MessageFormatError(str(exc)) from exc
         msg = cls(
             id=msg_id,
             qr=bool(flags & 0x8000),
-            opcode=Opcode((flags >> 11) & 0xF),
+            opcode=opcode,
             aa=bool(flags & 0x0400),
             tc=bool(flags & 0x0200),
             rd=bool(flags & 0x0100),
             ra=bool(flags & 0x0080),
-            rcode=RCode(flags & 0xF),
+            rcode=rcode,
         )
 
         def decode_name(offset: int) -> tuple[str, int]:

@@ -62,9 +62,10 @@ class QueryEngine:
 
     def site(self, domain: str) -> dict[str, Any]:
         """One website's dependencies and critical exposure."""
-        if self.reader.find_site(domain) is None:
+        site = self.reader.find_site(domain)
+        if site is None:
             raise QueryError(f"unknown site {domain!r}")
-        return self._cached(("site", domain), self._site, domain)
+        return self._cached(("site", domain), self._site, domain, site)
 
     def dependents(self, provider_key: str) -> dict[str, Any]:
         """Reverse lookup: who depends on this provider."""
@@ -107,10 +108,9 @@ class QueryEngine:
             "store": self._store_block,
         }
 
-    def _site(self, domain: str) -> dict[str, Any]:
+    def _site(self, domain: str, site: int) -> dict[str, Any]:
         reader = self.reader
-        site = reader.find_site(domain)
-        assert site is not None  # _resolve'd by the public method
+        edges = reader.site_dependencies(site)
         dependencies = [
             {
                 "provider": reader.provider_key(provider),
@@ -118,13 +118,9 @@ class QueryEngine:
                 "service": reader.provider_service(provider),
                 "critical": critical,
             }
-            for provider, critical in reader.site_dependencies(site)
+            for provider, critical in edges
         ]
-        direct_critical = [
-            provider
-            for provider, critical in reader.site_dependencies(site)
-            if critical
-        ]
+        direct_critical = [provider for provider, critical in edges if critical]
         seen = set(direct_critical)
         frontier = list(direct_critical)
         while frontier:

@@ -169,7 +169,9 @@ def parse_store(buf: Union[bytes, memoryview]) -> tuple[dict[str, Any], memoryvi
         header = json.loads(bytes(view[prefix : prefix + hlen]))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StoreCorruptError(f"store header is not valid JSON: {exc}")
-    if not isinstance(header, dict) or header.get("schema") != SCHEMA:
+    if not isinstance(header, dict):
+        raise StoreCorruptError("store header is not a JSON object")
+    if header.get("schema") != SCHEMA:
         raise StoreCorruptError(
             f"store header schema is {header.get('schema')!r}, "
             f"expected {SCHEMA!r}"

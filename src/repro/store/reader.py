@@ -2,11 +2,15 @@
 
 A :class:`StoreReader` validates the envelope once (magic, wire
 version, sha256 trailer) and then serves every lookup straight off the
-mapped bytes: u32 sections are ``memoryview.cast("I")`` views, strings
-decode lazily from the blob, and site/provider lookups are binary
-searches over the lexicographically-ordered tables. Nothing is
-materialized up front, so loading a store is O(header) regardless of
-dataset size.
+mapped bytes: u32 sections are ``memoryview.cast("I")`` views, and
+site/provider lookups are binary searches over the
+lexicographically-ordered tables. A string is decoded from the blob the
+first time its index is asked for and memoized in a per-reader dict, as
+is each provider's ``service:id`` key, so a warm reader decodes nothing
+and a binary search probes dict entries. Nothing is materialized up
+front: loading a store is O(header) regardless of dataset size, and the
+memos hold at most one ``str`` per store string for the reader's
+lifetime.
 """
 
 from __future__ import annotations
@@ -32,6 +36,52 @@ METRIC_COLUMNS = (
     "direct_impact",
 )
 
+#: Every u32 section a store carries; ``strings_blob`` is its one blob.
+_U32_SECTIONS = (
+    "string_offsets",
+    "site_domains",
+    "site_ranks",
+    "site_deps_offsets",
+    "site_deps",
+    "site_deps_flags",
+    "site_critical_counts",
+    "provider_ids",
+    "provider_services",
+    "provider_displays",
+    "provider_metrics",
+    "provider_upstream_offsets",
+    "provider_upstream",
+    "provider_upstream_flags",
+    "provider_consumers_offsets",
+    "provider_consumers",
+    "provider_consumers_flags",
+    "provider_direct_offsets",
+    "provider_direct",
+    "provider_direct_flags",
+    "provider_trans_all_offsets",
+    "provider_trans_all",
+    "provider_trans_crit_offsets",
+    "provider_trans_crit",
+)
+
+
+def _section_entry(name: str, entry: Any) -> tuple[int, int, str]:
+    """``(offset, count, kind)`` of one section-table entry, checked."""
+    if not isinstance(entry, dict):
+        raise StoreCorruptError(f"section {name!r} entry is not an object")
+    offset, count, kind = entry.get("offset"), entry.get("count"), entry.get("kind")
+    for field, value in (("offset", offset), ("count", count)):
+        if type(value) is not int or value < 0:
+            raise StoreCorruptError(
+                f"section {name!r} {field} is {value!r}, "
+                f"expected an integer >= 0"
+            )
+    if kind not in ("u32", "blob"):
+        raise StoreCorruptError(
+            f"section {name!r} kind is {kind!r}, expected 'u32' or 'blob'"
+        )
+    return offset, count, kind
+
 
 class StoreReader:
     """Read-only view over one validated store blob."""
@@ -41,13 +91,16 @@ class StoreReader:
         self._data = data
         self._u32: dict[str, U32View] = {}
         self._blob: dict[str, memoryview] = {}
+        for fact in ("source_sha256", "year"):
+            if fact not in header:
+                raise StoreCorruptError(f"store header has no {fact!r}")
         sections = header.get("sections")
         if not isinstance(sections, dict):
             raise StoreCorruptError("store header has no section table")
         for name, entry in sections.items():
-            offset, count, kind = entry["offset"], entry["count"], entry["kind"]
+            offset, count, kind = _section_entry(name, entry)
             size = count * 4 if kind == "u32" else count
-            if offset < 0 or offset + size > len(data):
+            if offset + size > len(data):
                 raise StoreCorruptError(
                     f"section {name!r} overruns the data area"
                 )
@@ -56,38 +109,21 @@ class StoreReader:
                 self._u32[name] = unpack_u32(view)
             else:
                 self._blob[name] = view
-        for required in (
-            "strings_blob",
-            "string_offsets",
-            "site_domains",
-            "site_ranks",
-            "site_deps_offsets",
-            "site_deps",
-            "site_deps_flags",
-            "site_critical_counts",
-            "provider_ids",
-            "provider_services",
-            "provider_displays",
-            "provider_metrics",
-            "provider_upstream_offsets",
-            "provider_upstream",
-            "provider_upstream_flags",
-            "provider_consumers_offsets",
-            "provider_consumers",
-            "provider_consumers_flags",
-            "provider_direct_offsets",
-            "provider_direct",
-            "provider_direct_flags",
-            "provider_trans_all_offsets",
-            "provider_trans_all",
-            "provider_trans_crit_offsets",
-            "provider_trans_crit",
-        ):
-            if required not in self._u32 and required not in self._blob:
-                raise StoreCorruptError(f"store is missing section {required!r}")
+        if "strings_blob" not in self._blob:
+            raise StoreCorruptError("store is missing blob section 'strings_blob'")
+        for required in _U32_SECTIONS:
+            if required not in self._u32:
+                raise StoreCorruptError(
+                    f"store is missing u32 section {required!r}"
+                )
         self.n_sites = len(self._u32["site_domains"])
         self.n_providers = len(self._u32["provider_ids"])
-        self.n_strings = len(self._u32["string_offsets"]) - 1
+        self._string_offsets = self._u32["string_offsets"]
+        self._strings_blob = self._blob["strings_blob"]
+        self.n_strings = len(self._string_offsets) - 1
+        # Filled on first use and kept for the reader's lifetime.
+        self._strings: dict[int, str] = {}
+        self._provider_keys: dict[int, str] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -109,9 +145,18 @@ class StoreReader:
     # -- strings -------------------------------------------------------------
 
     def string(self, index: int) -> str:
-        offsets = self._u32["string_offsets"]
-        blob = self._blob["strings_blob"]
-        return str(blob[offsets[index] : offsets[index + 1]], "utf-8")
+        value = self._strings.get(index)
+        if value is None:
+            offsets = self._string_offsets
+            raw = self._strings_blob[offsets[index] : offsets[index + 1]]
+            try:
+                value = str(raw, "utf-8")
+            except UnicodeDecodeError as exc:
+                raise StoreCorruptError(
+                    f"store string {index} is not valid UTF-8"
+                ) from exc
+            self._strings[index] = value
+        return value
 
     def find_string(self, value: str) -> Optional[int]:
         """Binary search the sorted string table; None when absent."""
@@ -177,7 +222,11 @@ class StoreReader:
 
     def provider_key(self, provider: int) -> str:
         """The canonical ``service:id`` form (== ``str(ProviderNode)``)."""
-        return f"{self.provider_service(provider)}:{self.provider_id(provider)}"
+        key = self._provider_keys.get(provider)
+        if key is None:
+            key = f"{self.provider_service(provider)}:{self.provider_id(provider)}"
+            self._provider_keys[provider] = key
+        return key
 
     def find_provider(self, key: str) -> Optional[int]:
         """Provider index for ``service:id`` or a bare unambiguous id."""
@@ -244,11 +293,9 @@ class StoreReader:
     def _postings_with_flags(self, name: str, row: int) -> list[tuple[int, bool]]:
         offsets = self._u32[f"{name}_offsets"]
         start, stop = offsets[row], offsets[row + 1]
-        values = self._u32[name]
-        flags = self._u32[f"{name}_flags"]
-        return [
-            (int(values[i]), bool(flags[i])) for i in range(start, stop)
-        ]
+        values = self._u32[name][start:stop].tolist()
+        flags = self._u32[f"{name}_flags"][start:stop].tolist()
+        return list(zip(values, map(bool, flags)))
 
     def __repr__(self) -> str:
         return (

@@ -138,6 +138,17 @@ class TestMalformedInput:
         with pytest.raises(MessageFormatError):
             DnsMessage.from_wire(header + question)
 
+    @pytest.mark.parametrize(
+        "flags",
+        [0x2800, 0x0800, 0x7800, 0x8007, 0x8006, 0x800F],
+        ids=["opcode-5", "opcode-1", "opcode-15", "rcode-7", "rcode-6", "rcode-15"],
+    )
+    def test_unknown_opcode_or_rcode(self, flags):
+        wire = bytearray(DnsMessage.query("example.com", RRType.A).to_wire())
+        wire[2:4] = flags.to_bytes(2, "big")
+        with pytest.raises(MessageFormatError):
+            DnsMessage.from_wire(bytes(wire))
+
 
 _label = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=12)
 _names = st.lists(_label, min_size=1, max_size=5).map(".".join)
