@@ -1,7 +1,9 @@
 """Trajectory (de)serialization: the versioned cascade wire format.
 
-``repro-cascade-trajectory/1`` is canonical JSON (sorted keys, fixed
-indent), so the byte-identity contract is checkable with ``==`` on the
+``repro-cascade-trajectory/1`` is canonical JSON (sorted keys, a
+one-space indent: the text of ``json.dumps(..., indent=1,
+sort_keys=True)``, written by
+:func:`~repro.measurement.jsonwriter.write_json`), so the byte-identity contract is checkable with ``==`` on the
 exported string: same snapshot + same config ⇒ same bytes. The config
 rides along with its digest, binding every trajectory to the exact
 scenario that produced it (the checkpoint/fault-plan discipline).
@@ -18,6 +20,7 @@ from typing import Any
 
 from repro.cascade.config import CascadeConfig
 from repro.cascade.trajectory import Cause, NodeState, Trajectory, Transition
+from repro.measurement.jsonwriter import write_json
 
 TRAJECTORY_SCHEMA = "repro-cascade-trajectory/1"
 
@@ -60,7 +63,7 @@ def trajectory_to_dict(trajectory: Trajectory) -> dict[str, Any]:
 def trajectory_to_json(trajectory: Trajectory) -> str:
     """Canonical JSON — the byte-identity surface of the determinism
     contract."""
-    return json.dumps(trajectory_to_dict(trajectory), indent=1, sort_keys=True)
+    return write_json(trajectory_to_dict(trajectory), sort_keys=True)
 
 
 def trajectory_from_dict(data: dict[str, Any]) -> Trajectory:

@@ -3,6 +3,15 @@
 The resolver and servers exchange real wire-format packets so the codec is
 exercised on every simulated query — exactly the byte-level surface a
 ``dig``-based measurement pipeline rides on.
+
+The codec is table-driven: fixed fields go through precompiled
+``struct.Struct`` objects, names are written straight into the message
+buffer against one compression table per message, rdata is written in
+place with one branch per record type, and decoding maps type, class,
+opcode and rcode codes through dicts. Names are not normalized here:
+every record and question constructor already does that, and decoding
+goes through those constructors. The bytes are pinned by a copy of the
+earlier closure-based codec kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -14,17 +23,33 @@ from typing import Optional
 
 from repro.dnssim.errors import MessageFormatError
 from repro.dnssim.records import (
+    AAAARecord,
+    ARecord,
+    CNAMERecord,
+    MXRecord,
+    NSRecord,
+    RData,
     RRClass,
     RRType,
     ResourceRecord,
-    decode_rdata,
-    encode_rdata,
+    SOARecord,
+    TXTRecord,
+    encode_ipv4,
 )
-from repro.names.normalize import MAX_LABEL_LENGTH, normalize
+from repro.names.normalize import MAX_LABEL_LENGTH, MAX_NAME_LENGTH, normalize
 
+# Fixed-layout fields, compiled once: the header, a question's
+# type/class, an RR's type/class/TTL/RDLENGTH, and the rdata words.
 _HEADER = struct.Struct("!HHHHHH")
+_QUESTION = struct.Struct("!HH")
+_RR_FIXED = struct.Struct("!HHIH")
+_U16 = struct.Struct("!H")
+_SOA_FIXED = struct.Struct("!IIIII")
 _POINTER_MASK = 0xC0
 _MAX_POINTER_CHASES = 64
+# RFC 1035 §2.3.4: a name is at most 255 octets on the wire, i.e. at
+# most MAX_NAME_LENGTH characters in presentation form.
+_MAX_WIRE_NAME = 255
 
 
 class RCode(enum.IntEnum):
@@ -40,6 +65,120 @@ class RCode(enum.IntEnum):
 
 class Opcode(enum.IntEnum):
     QUERY = 0
+
+
+_OPCODES = {int(code): code for code in Opcode}
+_RCODES = {int(code): code for code in RCode}
+_RRTYPES = {int(code): code for code in RRType}
+_RRCLASSES = {int(code): code for code in RRClass}
+
+
+def _put_name(out: bytearray, name: str, table: dict[str, int]) -> None:
+    """Append ``name`` (canonical form) at the end of ``out``.
+
+    ``table`` maps every name suffix already written to its offset; a
+    suffix first written at an offset a pointer can address is added.
+    """
+    if len(name) > MAX_NAME_LENGTH:
+        raise MessageFormatError(
+            f"name longer than {_MAX_WIRE_NAME} octets: {name[:40]!r}..."
+        )
+    while name:
+        offset = table.get(name)
+        if offset is not None:
+            out.append(0xC0 | offset >> 8)
+            out.append(offset & 0xFF)
+            return
+        offset = len(out)
+        if offset < 0x3FFF:
+            table[name] = offset
+        label, _, name = name.partition(".")
+        if not 0 < len(label) <= MAX_LABEL_LENGTH:
+            raise MessageFormatError(f"bad label length: {label!r}")
+        out.append(len(label))
+        out += label.encode("ascii")
+    out.append(0)
+
+
+def _read_name(data: bytes, pos: int) -> tuple[str, int]:
+    """Decode the name at ``pos``: ``(name, offset just past it)``.
+
+    Compression pointers resolve against the whole message; the name
+    ends where its first pointer or its root label does.
+    """
+    labels: list[bytes] = []
+    size = len(data)
+    end = -1
+    octets = 1
+    jumps = 0
+    while True:
+        if pos >= size:
+            raise MessageFormatError("name runs past end of message")
+        length = data[pos]
+        if not length:
+            break
+        if length < 0x40:
+            stop = pos + 1 + length
+            if stop > size:
+                raise MessageFormatError("label runs past end of message")
+            octets += 1 + length
+            if octets > _MAX_WIRE_NAME:
+                raise MessageFormatError(f"name longer than {_MAX_WIRE_NAME} octets")
+            labels.append(data[pos + 1:stop])
+            pos = stop
+            continue
+        if length < _POINTER_MASK:
+            raise MessageFormatError("reserved label type")
+        if pos + 1 >= size:
+            raise MessageFormatError("truncated compression pointer")
+        if end < 0:
+            end = pos + 2
+        jumps += 1
+        if jumps > _MAX_POINTER_CHASES:
+            raise MessageFormatError("compression pointer loop")
+        pos = (length & 0x3F) << 8 | data[pos + 1]
+    return b".".join(labels).decode("ascii"), (end if end >= 0 else pos + 1)
+
+
+def _read_rdata(rrtype: RRType, data: bytes, pos: int, end: int) -> RData:
+    """Decode the rdata occupying ``data[pos:end]``; it must fill that
+    span exactly (names in it may still point anywhere in the message)."""
+    if rrtype is RRType.A:
+        if end - pos != 4:
+            raise MessageFormatError("A rdata must be 4 bytes")
+        return ARecord("%d.%d.%d.%d" % tuple(data[pos:end]))
+    if rrtype is RRType.NS or rrtype is RRType.CNAME:
+        name, stop = _read_name(data, pos)
+        if stop != end:
+            raise MessageFormatError(f"{rrtype.name} name does not fill RDLENGTH")
+        return NSRecord(name) if rrtype is RRType.NS else CNAMERecord(name)
+    if rrtype is RRType.SOA:
+        mname, stop = _read_name(data, pos)
+        rname, stop = _read_name(data, stop)
+        if stop + _SOA_FIXED.size != end:
+            raise MessageFormatError("SOA rdata does not fill RDLENGTH")
+        return SOARecord(mname, rname, *_SOA_FIXED.unpack_from(data, stop))
+    if rrtype is RRType.MX:
+        if end - pos < 3:
+            raise MessageFormatError("MX rdata too short")
+        exchange, stop = _read_name(data, pos + 2)
+        if stop != end:
+            raise MessageFormatError("MX name does not fill RDLENGTH")
+        return MXRecord(_U16.unpack_from(data, pos)[0], exchange)
+    if rrtype is RRType.TXT:
+        chunks: list[bytes] = []
+        while pos < end:
+            stop = pos + 1 + data[pos]
+            if stop > end:
+                raise MessageFormatError("TXT chunk runs past RDLENGTH")
+            chunks.append(data[pos + 1:stop])
+            pos = stop
+        return TXTRecord(b"".join(chunks).decode("utf-8"))
+    if rrtype is RRType.AAAA:
+        if end - pos != 16:
+            raise MessageFormatError("AAAA rdata must be 16 bytes")
+        return AAAARecord(data[pos:end].rstrip(b"\x00").decode("ascii"))
+    raise MessageFormatError(f"cannot decode rdata of type {rrtype}")
 
 
 @dataclass(frozen=True)
@@ -137,54 +276,53 @@ class DnsMessage:
                 len(self.additionals),
             )
         )
-        offsets: dict[str, int] = {}
-
-        def encode_name_at(name: str, base: int) -> bytes:
-            """Encode ``name`` assuming its first byte lands at ``base``."""
-            encoded = bytearray()
-            remaining = normalize(name)
-            while remaining:
-                if remaining in offsets:
-                    pointer = offsets[remaining]
-                    encoded += struct.pack("!H", 0xC000 | pointer)
-                    return bytes(encoded)
-                if base + len(encoded) < 0x3FFF:
-                    offsets[remaining] = base + len(encoded)
-                label, _, remaining = remaining.partition(".")
-                raw = label.encode("ascii")
-                if len(raw) > MAX_LABEL_LENGTH:
-                    raise MessageFormatError(f"label too long: {label!r}")
-                encoded.append(len(raw))
-                encoded += raw
-            encoded.append(0)
-            return bytes(encoded)
-
+        table: dict[str, int] = {}
         for q in self.questions:
-            out += encode_name_at(q.qname, len(out))
-            out += struct.pack("!HH", int(q.qtype), int(q.qclass))
+            _put_name(out, q.qname, table)
+            out += _QUESTION.pack(q.qtype, q.qclass)
         for section in (self.answers, self.authorities, self.additionals):
             for rr in section:
-                out += encode_name_at(rr.name, len(out))
-                out += struct.pack("!HHI", int(rr.rrtype), int(rr.rrclass), rr.ttl)
-                # Reserve RDLENGTH, then encode rdata and backfill. Names in
-                # rdata may follow each other (SOA has two), so the encoder
-                # tracks how many rdata bytes it has already produced.
-                out += b"\x00\x00"
-                before = len(out)
-                produced = 0
-
-                def rdata_name_encoder(name: str, pad: int = 0) -> bytes:
-                    # ``pad`` = fixed rdata bytes emitted before this name
-                    # (e.g. the MX preference word), so offsets stay aligned.
-                    nonlocal produced
-                    produced += pad
-                    encoded = encode_name_at(name, before + produced)
-                    produced += len(encoded)
-                    return encoded
-
-                rdata_bytes = encode_rdata(rr.rdata, rdata_name_encoder)
-                out += rdata_bytes
-                struct.pack_into("!H", out, before - 2, len(rdata_bytes))
+                _put_name(out, rr.name, table)
+                rdata = rr.rdata
+                if isinstance(rdata, ARecord):
+                    out += _RR_FIXED.pack(RRType.A, rr.rrclass, rr.ttl, 4)
+                    out += encode_ipv4(rdata.address)
+                    continue
+                # RDLENGTH is backfilled once the rdata is in place.
+                out += _RR_FIXED.pack(rdata.rrtype, rr.rrclass, rr.ttl, 0)
+                start = len(out)
+                if isinstance(rdata, NSRecord):
+                    _put_name(out, rdata.nsdname, table)
+                elif isinstance(rdata, CNAMERecord):
+                    _put_name(out, rdata.target, table)
+                elif isinstance(rdata, SOARecord):
+                    _put_name(out, rdata.mname, table)
+                    _put_name(out, rdata.rname, table)
+                    out += _SOA_FIXED.pack(
+                        rdata.serial,
+                        rdata.refresh,
+                        rdata.retry,
+                        rdata.expire,
+                        rdata.minimum,
+                    )
+                elif isinstance(rdata, MXRecord):
+                    out += _U16.pack(rdata.preference)
+                    _put_name(out, rdata.exchange, table)
+                elif isinstance(rdata, TXTRecord):
+                    raw = rdata.text.encode("utf-8")
+                    for i in range(0, len(raw), 255):
+                        chunk = raw[i:i + 255]
+                        out.append(len(chunk))
+                        out += chunk
+                    if not raw:
+                        out.append(0)
+                elif isinstance(rdata, AAAARecord):
+                    out += rdata.address.encode("ascii").ljust(16, b"\x00")[:16]
+                else:
+                    raise ValueError(
+                        f"cannot encode rdata of type {type(rdata).__name__}"
+                    )
+                _U16.pack_into(out, start - 2, len(out) - start)
         return bytes(out)
 
     @classmethod
@@ -193,79 +331,53 @@ class DnsMessage:
         if len(data) < _HEADER.size:
             raise MessageFormatError("message shorter than header")
         msg_id, flags, qdcount, ancount, nscount, arcount = _HEADER.unpack_from(data, 0)
-        try:
-            opcode = Opcode((flags >> 11) & 0xF)
-            rcode = RCode(flags & 0xF)
-        except ValueError as exc:
-            raise MessageFormatError(str(exc)) from exc
-        msg = cls(
-            id=msg_id,
-            qr=bool(flags & 0x8000),
-            opcode=opcode,
-            aa=bool(flags & 0x0400),
-            tc=bool(flags & 0x0200),
-            rd=bool(flags & 0x0100),
-            ra=bool(flags & 0x0080),
-            rcode=rcode,
-        )
-
-        def decode_name(offset: int) -> tuple[str, int]:
-            labels: list[str] = []
-            jumps = 0
-            pos = offset
-            end_pos: Optional[int] = None
-            while True:
-                if pos >= len(data):
-                    raise MessageFormatError("name runs past end of message")
-                length = data[pos]
-                if length & _POINTER_MASK == _POINTER_MASK:
-                    if pos + 1 >= len(data):
-                        raise MessageFormatError("truncated compression pointer")
-                    pointer = struct.unpack_from("!H", data, pos)[0] & 0x3FFF
-                    if end_pos is None:
-                        end_pos = pos + 2
-                    jumps += 1
-                    if jumps > _MAX_POINTER_CHASES:
-                        raise MessageFormatError("compression pointer loop")
-                    pos = pointer
-                    continue
-                if length & _POINTER_MASK:
-                    raise MessageFormatError("reserved label type")
-                if length == 0:
-                    pos += 1
-                    break
-                if pos + 1 + length > len(data):
-                    raise MessageFormatError("label runs past end of message")
-                labels.append(data[pos + 1:pos + 1 + length].decode("ascii"))
-                pos += 1 + length
-            return ".".join(labels), (end_pos if end_pos is not None else pos)
-
+        opcode = _OPCODES.get((flags >> 11) & 0xF)
+        if opcode is None:
+            raise MessageFormatError(f"{(flags >> 11) & 0xF} is not a valid Opcode")
+        rcode = _RCODES.get(flags & 0xF)
+        if rcode is None:
+            raise MessageFormatError(f"{flags & 0xF} is not a valid RCode")
+        size = len(data)
         pos = _HEADER.size
+        questions: list[Question] = []
+        sections: list[list[ResourceRecord]] = []
         try:
             for _ in range(qdcount):
-                qname, pos = decode_name(pos)
-                qtype, qclass = struct.unpack_from("!HH", data, pos)
+                qname, pos = _read_name(data, pos)
+                qtype, qclass = _QUESTION.unpack_from(data, pos)
                 pos += 4
-                msg.questions.append(Question(qname, RRType(qtype), RRClass(qclass)))
-            for section, count in (
-                (msg.answers, ancount),
-                (msg.authorities, nscount),
-                (msg.additionals, arcount),
-            ):
+                questions.append(Question(qname, _RRTYPES[qtype], _RRCLASSES[qclass]))
+            for count in (ancount, nscount, arcount):
+                records: list[ResourceRecord] = []
                 for _ in range(count):
-                    name, pos = decode_name(pos)
-                    rrtype, rrclass, ttl, rdlength = struct.unpack_from("!HHIH", data, pos)
+                    name, pos = _read_name(data, pos)
+                    rrtype, rrclass, ttl, rdlength = _RR_FIXED.unpack_from(data, pos)
                     pos += 10
-                    if pos + rdlength > len(data):
+                    end = pos + rdlength
+                    if end > size:
                         raise MessageFormatError("rdata runs past end of message")
-                    rdata = decode_rdata(RRType(rrtype), data, pos, rdlength, decode_name)
-                    pos += rdlength
-                    section.append(
-                        ResourceRecord(name, ttl, rdata, RRClass(rrclass))
-                    )
+                    rdata = _read_rdata(_RRTYPES[rrtype], data, pos, end)
+                    records.append(ResourceRecord(name, ttl, rdata, _RRCLASSES[rrclass]))
+                    pos = end
+                sections.append(records)
+        except KeyError as exc:
+            raise MessageFormatError(f"unknown type or class code {exc}") from exc
         except (struct.error, ValueError) as exc:
             raise MessageFormatError(str(exc)) from exc
-        return msg
+        # Positional, in field order (keywords cost more per message):
+        # id, qr, opcode, aa, tc, rd, ra, rcode, then the four sections.
+        return cls(
+            msg_id,
+            bool(flags & 0x8000),
+            opcode,
+            bool(flags & 0x0400),
+            bool(flags & 0x0200),
+            bool(flags & 0x0100),
+            bool(flags & 0x0080),
+            rcode,
+            questions,
+            *sections,
+        )
 
     def __str__(self) -> str:
         lines = [

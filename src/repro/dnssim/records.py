@@ -1,14 +1,14 @@
 """DNS resource records.
 
 Record data (rdata) classes are immutable and hashable so RRsets can be
-deduplicated and compared. Wire encoding of rdata lives here; message-level
-framing and name compression live in :mod:`repro.dnssim.message`.
+deduplicated and compared. Every constructor normalizes the names it
+holds, so the wire codec in :mod:`repro.dnssim.message` (framing, name
+compression and the per-type rdata layouts) writes them as they are.
 """
 
 from __future__ import annotations
 
 import enum
-import struct
 from dataclasses import dataclass
 from typing import Union
 
@@ -45,23 +45,15 @@ class RRClass(enum.IntEnum):
     IN = 1
 
 
-def _encode_ipv4(address: str) -> bytes:
-    parts = address.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"invalid IPv4 address: {address!r}")
+def encode_ipv4(address: str) -> bytes:
+    """The 4-byte wire form of a dotted-quad IPv4 address."""
     try:
-        octets = [int(p) for p in parts]
+        packed = bytes(map(int, address.split(".")))
     except ValueError:
         raise ValueError(f"invalid IPv4 address: {address!r}") from None
-    if any(o < 0 or o > 255 for o in octets):
+    if len(packed) != 4:
         raise ValueError(f"invalid IPv4 address: {address!r}")
-    return bytes(octets)
-
-
-def _decode_ipv4(data: bytes) -> str:
-    if len(data) != 4:
-        raise ValueError("IPv4 rdata must be 4 bytes")
-    return ".".join(str(b) for b in data)
+    return packed
 
 
 @dataclass(frozen=True)
@@ -71,7 +63,7 @@ class ARecord:
     address: str
 
     def __post_init__(self) -> None:
-        _encode_ipv4(self.address)  # validate eagerly
+        encode_ipv4(self.address)  # validate eagerly
 
     rrtype = RRType.A
 
@@ -221,74 +213,3 @@ def rdata_class_for(rrtype: RRType) -> type:
         return _RDATA_BY_TYPE[rrtype]
     except KeyError:
         raise ValueError(f"unsupported RR type: {rrtype}") from None
-
-
-def encode_rdata(rdata: RData, encode_name) -> bytes:
-    """Encode rdata to wire bytes.
-
-    ``encode_name`` is a callback supplied by the message encoder so domain
-    names inside rdata participate in message-level name compression.
-    """
-    if isinstance(rdata, ARecord):
-        return _encode_ipv4(rdata.address)
-    if isinstance(rdata, AAAARecord):
-        return rdata.address.encode("ascii").ljust(16, b"\x00")[:16]
-    if isinstance(rdata, NSRecord):
-        return encode_name(rdata.nsdname)
-    if isinstance(rdata, CNAMERecord):
-        return encode_name(rdata.target)
-    if isinstance(rdata, SOARecord):
-        fixed = struct.pack(
-            "!IIIII",
-            rdata.serial,
-            rdata.refresh,
-            rdata.retry,
-            rdata.expire,
-            rdata.minimum,
-        )
-        return encode_name(rdata.mname) + encode_name(rdata.rname) + fixed
-    if isinstance(rdata, MXRecord):
-        return struct.pack("!H", rdata.preference) + encode_name(rdata.exchange, 2)
-    if isinstance(rdata, TXTRecord):
-        raw = rdata.text.encode("utf-8")
-        chunks = [raw[i:i + 255] for i in range(0, len(raw), 255)] or [b""]
-        return b"".join(bytes([len(c)]) + c for c in chunks)
-    raise ValueError(f"cannot encode rdata of type {type(rdata).__name__}")
-
-
-def decode_rdata(rrtype: RRType, data: bytes, offset: int, length: int, decode_name) -> RData:
-    """Decode rdata from wire bytes.
-
-    ``decode_name`` is ``(offset) -> (name, next_offset)`` provided by the
-    message decoder, so compression pointers resolve against the full
-    message buffer.
-    """
-    end = offset + length
-    if rrtype == RRType.A:
-        return ARecord(_decode_ipv4(data[offset:end]))
-    if rrtype == RRType.AAAA:
-        return AAAARecord(data[offset:end].rstrip(b"\x00").decode("ascii"))
-    if rrtype == RRType.NS:
-        name, _ = decode_name(offset)
-        return NSRecord(name)
-    if rrtype == RRType.CNAME:
-        name, _ = decode_name(offset)
-        return CNAMERecord(name)
-    if rrtype == RRType.SOA:
-        mname, pos = decode_name(offset)
-        rname, pos = decode_name(pos)
-        serial, refresh, retry, expire, minimum = struct.unpack_from("!IIIII", data, pos)
-        return SOARecord(mname, rname, serial, refresh, retry, expire, minimum)
-    if rrtype == RRType.MX:
-        (preference,) = struct.unpack_from("!H", data, offset)
-        exchange, _ = decode_name(offset + 2)
-        return MXRecord(preference, exchange)
-    if rrtype == RRType.TXT:
-        parts = []
-        pos = offset
-        while pos < end:
-            n = data[pos]
-            parts.append(data[pos + 1:pos + 1 + n])
-            pos += 1 + n
-        return TXTRecord(b"".join(parts).decode("utf-8"))
-    raise ValueError(f"cannot decode rdata of type {rrtype}")

@@ -24,9 +24,13 @@ Format history:
 * **1** — the PR-1 layout (context keys hoisted to the parent object).
 
 Readers accept any historical version and upgrade it in memory, one
-version step at a time; anything else (newer, missing, malformed) raises
-:class:`WireVersionError` naming both the found and supported versions.
-Writers always emit the current version.
+version step at a time; a version they cannot read (newer, missing,
+malformed) raises :class:`WireVersionError` naming both the found and
+supported versions, and any other malformed payload raises
+:class:`DatasetFormatError` (its base class) instead of a bare
+``KeyError``/``TypeError``. Writers always emit the current version,
+as the text of ``json.dumps(..., indent=1)`` produced by
+:func:`~repro.measurement.jsonwriter.write_json`.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
+from repro.measurement.jsonwriter import write_json
 from repro.measurement.records import Dataset, WebsiteMeasurement
 
 FORMAT_VERSION = 3
@@ -42,8 +47,34 @@ OLDEST_READABLE_VERSION = 1
 OLDEST_READABLE_SHARD_VERSION = 1
 
 
-class WireVersionError(ValueError):
+class DatasetFormatError(ValueError):
+    """A dataset or shard payload is malformed: not JSON, not an object,
+    or missing or mistyping a field its format version requires."""
+
+
+class WireVersionError(DatasetFormatError):
     """A payload declares a wire format this build cannot read."""
+
+
+#: What a malformed payload raises while it is upgraded and decoded.
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError, AttributeError)
+
+
+def _load_object(text: str, kind: str) -> dict[str, Any]:
+    """Parse ``text`` as a JSON object, or raise DatasetFormatError."""
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{kind} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DatasetFormatError(
+            f"{kind} must be a JSON object, not {type(payload).__name__}"
+        )
+    return payload
+
+
+def _malformed(kind: str, exc: Exception) -> DatasetFormatError:
+    return DatasetFormatError(f"malformed {kind}: {type(exc).__name__}: {exc}")
 
 
 def _check_format_version(
@@ -66,13 +97,19 @@ def _check_format_version(
 def _canonical(obj: Any) -> Any:
     """Recursively sort dict keys (the stable on-disk order).
 
-    Used instead of ``json.dumps(sort_keys=True)`` so callers can exempt
-    a subtree — dataset ``notes`` keep their insertion order.
+    Used instead of ``sort_keys=True`` where a caller exempts a subtree:
+    dataset ``notes`` keep their insertion order.
     """
     if isinstance(obj, dict):
-        return {key: _canonical(obj[key]) for key in sorted(obj)}
+        return {
+            key: _canonical(value) if isinstance(value, (dict, list)) else value
+            for key, value in sorted(obj.items())
+        }
     if isinstance(obj, list):
-        return [_canonical(item) for item in obj]
+        return [
+            _canonical(item) if isinstance(item, (dict, list)) else item
+            for item in obj
+        ]
     return obj
 
 
@@ -196,14 +233,22 @@ def dataset_to_json(dataset: Dataset) -> str:
     # notes are campaign-ordered, not alphabetical; reassignment keeps the
     # key's (sorted) position in the top-level object.
     canonical["notes"] = dict(dataset.notes)
-    return json.dumps(canonical, indent=1)
+    return write_json(canonical)
 
 
 def dataset_from_json(text: str) -> Dataset:
     """Deserialize a dataset produced by :func:`dataset_to_json` (any
-    readable format version; older payloads are upgraded in memory)."""
-    payload = upgrade_dataset_payload(json.loads(text))
-    return Dataset.from_dict(payload)
+    readable format version; older payloads are upgraded in memory).
+
+    Raises :class:`DatasetFormatError` on a malformed payload.
+    """
+    payload = _load_object(text, "dataset")
+    try:
+        return Dataset.from_dict(upgrade_dataset_payload(payload))
+    except DatasetFormatError:
+        raise
+    except _MALFORMED as exc:
+        raise _malformed("dataset", exc) from exc
 
 
 def shard_to_json(
@@ -225,7 +270,7 @@ def shard_to_json(
     }
     if metrics is not None:
         payload["metrics"] = metrics
-    return json.dumps(_canonical(payload), indent=1)
+    return write_json(payload, sort_keys=True)
 
 
 def shard_payload_from_json(
@@ -235,9 +280,9 @@ def shard_payload_from_json(
 
     ``metrics`` is ``None`` for shards written without telemetry (and
     for every pre-v4 shard). Any readable shard version is upgraded in
-    memory.
+    memory. Raises :class:`DatasetFormatError` on a malformed payload.
     """
-    payload = json.loads(text)
+    payload = _load_object(text, "shard")
     version = payload.get("shard_format_version")
     _check_format_version(
         version,
@@ -245,13 +290,16 @@ def shard_payload_from_json(
         OLDEST_READABLE_SHARD_VERSION,
         "shard",
     )
-    entries = payload["websites"]
-    if version == 1:
-        entries = [_website_v1_to_v2(entry) for entry in entries]
-        version = 2
-    if version == 2:
-        entries = [_website_v2_to_v3(entry) for entry in entries]
-    websites = [WebsiteMeasurement.from_dict(entry) for entry in entries]
+    try:
+        entries = payload["websites"]
+        if version == 1:
+            entries = [_website_v1_to_v2(entry) for entry in entries]
+            version = 2
+        if version == 2:
+            entries = [_website_v2_to_v3(entry) for entry in entries]
+        websites = [WebsiteMeasurement.from_dict(entry) for entry in entries]
+    except _MALFORMED as exc:
+        raise _malformed("shard", exc) from exc
     return websites, payload.get("metrics")
 
 

@@ -1,20 +1,24 @@
 """Rendering query payloads: canonical JSON and human-readable text.
 
 ``payload_to_json`` is the byte-exact surface the differential harness
-pins: the same ``json.dumps(..., indent=1, sort_keys=True)`` convention
-as ``outage --json`` and ``cascade --json``, so a fast-path answer and
-its slow-path derivation either match to the byte or fail the suite.
+pins: sorted keys and a one-space indent, the layout ``outage --json``
+and ``cascade --json`` print, written by the shared
+:func:`~repro.measurement.jsonwriter.write_json` (the text of
+``json.dumps(payload, indent=1, sort_keys=True)``), so a fast-path
+answer and its slow-path derivation either match to the byte or fail
+the suite.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any
+
+from repro.measurement.jsonwriter import write_json
 
 
 def payload_to_json(payload: dict[str, Any]) -> str:
     """The canonical JSON form of any query payload."""
-    return json.dumps(payload, indent=1, sort_keys=True)
+    return write_json(payload, sort_keys=True)
 
 
 def _render_top(payload: dict[str, Any]) -> str:

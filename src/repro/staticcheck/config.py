@@ -150,10 +150,17 @@ class LintConfig:
     )
 
     # REP007: serialization sinks the taint analysis watches — direct
-    # serializer calls, digest-input prefixes, and the names of
-    # serialization methods whose return value is the artifact.
+    # serializer calls (the repository's own JSON writer included),
+    # digest-input prefixes, and the names of serialization methods
+    # whose return value is the artifact.
     rep007_sink_calls: frozenset[str] = frozenset(
-        {"json.dump", "json.dumps", "pickle.dump", "pickle.dumps"}
+        {
+            "json.dump",
+            "json.dumps",
+            "pickle.dump",
+            "pickle.dumps",
+            "repro.measurement.jsonwriter.write_json",
+        }
     )
     rep007_digest_prefixes: frozenset[str] = frozenset({"hashlib."})
     rep007_sink_returns: frozenset[str] = frozenset(

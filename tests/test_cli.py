@@ -242,6 +242,15 @@ class TestMeasureAnalyze:
 
         assert "99" in err and f"supports version {FORMAT_VERSION}" in err
 
+    @pytest.mark.parametrize("text", ["[]", '{"format_version": 3}'])
+    def test_analyze_rejects_malformed_dataset(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot load {path}: ")
+        assert "Traceback" not in err
+
     def test_measure_checkpoint_resume_flags(self, capsys, tmp_path):
         ckpt = tmp_path / "ckpt"
         args = [

@@ -150,6 +150,91 @@ class TestMalformedInput:
             DnsMessage.from_wire(bytes(wire))
 
 
+def _one_answer(rrtype: int, rdata: bytes, rdlength: int) -> bytes:
+    """A response holding one root-owned answer whose RDLENGTH may cover
+    less than ``rdata``; bytes past it are trailing data."""
+    header = bytes.fromhex("0000 8400 0000 0001 0000 0000")
+    fixed = rrtype.to_bytes(2, "big") + b"\x00\x01" + (60).to_bytes(4, "big")
+    return header + b"\x00" + fixed + rdlength.to_bytes(2, "big") + rdata
+
+
+_EXAMPLE = b"\x07example\x03com\x00"
+
+
+class TestStrictRdata:
+    """Rdata must fill its RDLENGTH exactly: a name or TXT chunk that runs
+    past it, or an address of the wrong size, is a format error."""
+
+    @pytest.mark.parametrize(
+        "rrtype, rdata",
+        [
+            (RRType.NS, _EXAMPLE),
+            (RRType.CNAME, _EXAMPLE),
+            (RRType.MX, b"\x00\x0a" + _EXAMPLE),
+            (RRType.SOA, _EXAMPLE + _EXAMPLE + bytes(20)),
+        ],
+        ids=["ns", "cname", "mx", "soa"],
+    )
+    def test_name_past_rdlength(self, rrtype, rdata):
+        intact = _one_answer(rrtype, rdata, len(rdata))
+        assert DnsMessage.from_wire(intact).answers[0].rrtype == rrtype
+        with pytest.raises(MessageFormatError):
+            DnsMessage.from_wire(_one_answer(rrtype, rdata, 5))
+
+    def test_txt_chunk_past_rdlength(self):
+        # The chunk claims 7 bytes but RDLENGTH holds 3 bytes in all.
+        with pytest.raises(MessageFormatError):
+            DnsMessage.from_wire(_one_answer(RRType.TXT, b"\x07abcdefg", 3))
+
+    @pytest.mark.parametrize("size", [3, 15, 17])
+    def test_aaaa_must_be_16_bytes(self, size):
+        with pytest.raises(MessageFormatError):
+            DnsMessage.from_wire(_one_answer(RRType.AAAA, b"a" * size, size))
+
+    def test_a_must_be_4_bytes(self):
+        with pytest.raises(MessageFormatError):
+            DnsMessage.from_wire(_one_answer(RRType.A, b"\x01\x02\x03", 3))
+
+
+class TestNameLimits:
+    def test_longest_name_roundtrips(self):
+        name = ".".join(["a" * 63] * 3 + ["b" * 61])
+        assert len(name) == 253
+        assert roundtrip(DnsMessage.query(name, RRType.A)).question.qname == name
+
+    @pytest.mark.parametrize("length", [254, 304])
+    def test_encode_refuses_names_over_255_octets(self, length):
+        name = ("abcdefghi." * 31)[:length]
+        with pytest.raises(MessageFormatError):
+            DnsMessage.query(name, RRType.A).to_wire()
+        answer = DnsMessage.query("example.com", RRType.A).response()
+        answer.answers = [ResourceRecord(name, 60, ARecord("10.0.0.1"))]
+        with pytest.raises(MessageFormatError):
+            answer.to_wire()
+
+    def test_decode_refuses_names_over_255_octets(self):
+        labels = b"".join(b"\x3f" + b"a" * 63 for _ in range(4)) + b"\x00"
+        assert len(labels) == 257
+        wire = bytes.fromhex("0000 0000 0001 0000 0000 0000") + labels + b"\x00\x01\x00\x01"
+        with pytest.raises(MessageFormatError):
+            DnsMessage.from_wire(wire)
+
+    def test_decode_refuses_long_names_built_from_pointers(self):
+        # Question 1 is a 192-octet name; question 2 adds two 63-byte
+        # labels in front of a pointer to it: 320 octets once expanded.
+        first = b"".join(b"\x3f" + b"a" * 63 for _ in range(3)) + b"\x00"
+        second = b"\x3f" + b"b" * 63 + b"\x3f" + b"c" * 63 + b"\xc0\x0c"
+        qfixed = b"\x00\x01\x00\x01"
+        wire = bytes.fromhex("0000 0000 0002 0000 0000 0000") + first + qfixed + second + qfixed
+        with pytest.raises(MessageFormatError):
+            DnsMessage.from_wire(wire)
+
+    @pytest.mark.parametrize("name", ["a..example.com", ".example.com"])
+    def test_encode_refuses_empty_labels(self, name):
+        with pytest.raises(MessageFormatError):
+            DnsMessage.query(name, RRType.A).to_wire()
+
+
 _label = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=12)
 _names = st.lists(_label, min_size=1, max_size=5).map(".".join)
 

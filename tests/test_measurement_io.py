@@ -7,6 +7,7 @@ import pytest
 from repro.core import analyze_dataset
 from repro.measurement.io import (
     FORMAT_VERSION,
+    DatasetFormatError,
     OLDEST_READABLE_VERSION,
     SHARD_FORMAT_VERSION,
     WireVersionError,
@@ -15,6 +16,7 @@ from repro.measurement.io import (
     load_dataset,
     save_dataset,
     shard_from_json,
+    shard_payload_from_json,
     shard_to_json,
     upgrade_dataset_payload,
 )
@@ -205,6 +207,50 @@ def _downgrade_dataset_to_v1(payload):
     }
     out["format_version"] = 1
     return out
+
+
+class TestMalformedPayloads:
+    """Malformed datasets and shards raise one typed error, never a bare
+    KeyError/TypeError/AttributeError from deep inside the decoder."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            "null",
+            '"dataset"',
+            "{not json",
+            '{"format_version": 3}',
+            '{"format_version": 3, "websites": 5}',
+            '{"format_version": 3, "year": 2020, "websites": 5}',
+            '{"format_version": 3, "year": 2020, "websites": [5]}',
+            '{"format_version": 3, "year": 2020, "websites": [{"dns": []}]}',
+            '{"format_version": 1, "year": 2020, "websites": [{}]}',
+        ],
+    )
+    def test_dataset(self, text):
+        with pytest.raises(DatasetFormatError):
+            dataset_from_json(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            "null",
+            "{not json",
+            f'{{"shard_format_version": {SHARD_FORMAT_VERSION}}}',
+            f'{{"shard_format_version": {SHARD_FORMAT_VERSION}, "websites": [1, 2]}}',
+            f'{{"shard_format_version": {SHARD_FORMAT_VERSION}, "websites": [[]]}}',
+            '{"shard_format_version": 1, "websites": [{"domain": "a.com"}]}',
+        ],
+    )
+    def test_shard(self, text):
+        with pytest.raises(DatasetFormatError):
+            shard_payload_from_json(text)
+
+    def test_version_errors_are_format_errors(self):
+        assert issubclass(WireVersionError, DatasetFormatError)
+        assert issubclass(DatasetFormatError, ValueError)
 
 
 class TestUpgradePaths:

@@ -689,6 +689,20 @@ class TestRep007TaintTracking:
         )
         assert rule_ids_of(result) == ["REP007"]
 
+    def test_set_order_into_the_json_writer(self):
+        result = lint(
+            """
+            from repro.measurement.jsonwriter import write_json
+
+
+            def dump(names: set) -> str:
+                rows = list(names)
+                return write_json(rows, sort_keys=True)
+            """,
+            config=only("REP007"),
+        )
+        assert rule_ids_of(result) == ["REP007"]
+
     def test_sorted_flow_is_clean(self):
         result = lint(
             """
