@@ -32,6 +32,12 @@ def worlds(bench_config):
     return world_2016, world_2020, churn
 
 
+@pytest.fixture
+def vantage(worlds):
+    """A cold measurement vantage on the 2020 world, one per benchmark."""
+    return worlds[1].vantage()
+
+
 @pytest.fixture(scope="session")
 def snapshot_2016(worlds):
     return analyze_world(worlds[0])

@@ -12,7 +12,7 @@ from repro.core.graph import ServiceType
 from repro.measurement.dns_measurer import DnsMeasurer
 
 
-def test_resolver_query_throughput(benchmark, worlds):
+def test_resolver_query_throughput(benchmark, worlds, vantage):
     """Cold-ish resolver lookups across random websites."""
     _, world_2020, _ = worlds
     rng = random.Random(0)
@@ -20,29 +20,29 @@ def test_resolver_query_throughput(benchmark, worlds):
 
     def run():
         domain = domains[rng.randrange(len(domains))]
-        return world_2020.dig.ns(domain)
+        return vantage.dig.ns(domain)
 
     result = benchmark(run)
     assert isinstance(result, list)
 
 
-def test_crawl_throughput(benchmark, worlds):
+def test_crawl_throughput(benchmark, worlds, vantage):
     """Full landing-page crawls (DNS + TLS + HTML parsing)."""
     _, world_2020, _ = worlds
     rng = random.Random(1)
     domains = [w.domain for w in world_2020.spec.websites]
 
     def run():
-        return world_2020.crawler.crawl(domains[rng.randrange(len(domains))])
+        return vantage.crawler.crawl(domains[rng.randrange(len(domains))])
 
     result = benchmark(run)
     assert result.domain
 
 
-def test_dns_measurement_throughput(benchmark, worlds):
+def test_dns_measurement_throughput(benchmark, worlds, vantage):
     """The Section 3.1 measurement unit (NS + SOA set) per website."""
     _, world_2020, _ = worlds
-    measurer = DnsMeasurer(world_2020.dig)
+    measurer = DnsMeasurer(vantage.dig)
     rng = random.Random(2)
     domains = [w.domain for w in world_2020.spec.websites]
 

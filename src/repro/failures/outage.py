@@ -62,9 +62,10 @@ def _probe_websites(
     revocation_policy: RevocationPolicy,
     check_resources: bool,
 ) -> None:
-    client = world.fresh_client(policy=revocation_policy)
+    client = world.vantage(policy=revocation_policy).web_client
+    specs = world.spec.website_by_domain()
     for domain in domains:
-        spec = world.spec.website_by_domain().get(domain)
+        spec = specs.get(domain)
         scheme = "https" if spec is not None and spec.https else "http"
         landing = client.get(f"{scheme}://www.{domain}/")
         if not landing.ok:

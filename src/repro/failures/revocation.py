@@ -41,7 +41,7 @@ def simulate_mass_revocation(
     actually denial-of-service; soft-fail clients sail through).
     """
     result = RevocationIncidentResult(ca_key=ca_key)
-    client = world.fresh_client(policy=RevocationPolicy.HARD_FAIL)
+    client = world.vantage(policy=RevocationPolicy.HARD_FAIL).web_client
     specs = world.spec.website_by_domain()
 
     def probe(domain: str) -> bool:

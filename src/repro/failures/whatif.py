@@ -15,7 +15,7 @@ from repro.core.graph import ProviderNode
 from repro.core.pipeline import AnalyzedSnapshot
 from repro.failures.outage import simulate_dns_outage
 from repro.faults.plan import FaultPlan, FaultRule
-from repro.worldgen.world import World, build_world
+from repro.worldgen.world import World
 
 
 @dataclass
@@ -210,10 +210,10 @@ def validate_outage_prediction(
 ) -> OutageValidationReport:
     """Check a provider-outage prediction against injected-fault reality.
 
-    Measures a *fresh* world (same config) under the outage fault plan so
-    the campaign's resolver caches carry no pre-outage answers, then
-    compares the set of domains the campaign found unresolvable with the
-    set :func:`simulate_dns_outage` predicts unreachable.
+    Measures ``world`` under the outage fault plan (the campaign's own
+    cold vantage carries no pre-outage answers), then compares the set of
+    domains the campaign found unresolvable with the set
+    :func:`simulate_dns_outage` predicts unreachable.
     """
     from repro.measurement.runner import MeasurementCampaign
 
@@ -225,14 +225,14 @@ def validate_outage_prediction(
         world, provider_key, domains=domains, check_resources=False
     )
 
-    fresh = build_world(world.config)
-    campaign = MeasurementCampaign(
-        fresh,
-        limit=limit,
-        fault_plan=outage_fault_plan(world, provider_key, seed=seed),
-    )
-    dataset = campaign.run()
-    fresh.clear_faults()
+    try:
+        dataset = MeasurementCampaign(
+            world,
+            limit=limit,
+            fault_plan=outage_fault_plan(world, provider_key, seed=seed),
+        ).run()
+    finally:
+        world.clear_faults()
 
     predicted_down = set(predicted.unreachable)
     measured_down = {

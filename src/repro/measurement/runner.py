@@ -58,8 +58,10 @@ def ranked_sites(
 class MeasurementCampaign:
     """Runs the full Section 3 pipeline against one world.
 
-    ``region`` runs the campaign from a non-default vantage point (GeoDNS
-    views apply) — the paper's single-vantage limitation made explorable.
+    Every campaign measures through its own cold vantage, so measuring
+    one world twice gives the bytes of measuring two fresh worlds.
+    ``region`` picks that vantage's region (GeoDNS views apply) — the
+    paper's single-vantage limitation made explorable.
     """
 
     def __init__(
@@ -77,16 +79,14 @@ class MeasurementCampaign:
         # None when the plan is empty: every layer keeps its fault-free
         # fast path and output is byte-identical to a plan-less campaign.
         self._injector = world.install_faults(self.fault_plan)
-        if region is None:
-            dig, crawler = world.dig, world.crawler
-        else:
-            vantage = world.vantage(region)
-            dig, crawler = vantage.dig, vantage.crawler
-        self._crawler = crawler
+        vantage = world.vantage(region)
+        dig = vantage.dig
+        self._crawler = vantage.crawler
         self.telemetry = telemetry
         if telemetry is not None:
             # Span timestamps come from the world's simulated clock; the
-            # same facade is installed into every layer of this vantage.
+            # same facade is installed into every layer of this campaign's
+            # own vantage, so it never outlives the campaign.
             # Layer hooks only feed the tracer and the diagnostics
             # registry, so a facade with both off is not installed at
             # all — the per-query hot paths keep their bare
@@ -95,10 +95,10 @@ class MeasurementCampaign:
             # ``self.telemetry`` directly).
             telemetry.bind_clock(world.clock.now)
             if telemetry.tracer is not None or telemetry.diagnostics is not None:
-                dig.resolver.telemetry = telemetry
-                dig.resolver.cache.telemetry = telemetry
-                crawler.telemetry = telemetry
-                crawler.client.telemetry = telemetry
+                vantage.resolver.telemetry = telemetry
+                vantage.resolver.cache.telemetry = telemetry
+                vantage.crawler.telemetry = telemetry
+                vantage.web_client.telemetry = telemetry
                 if self._injector is not None:
                     self._injector.telemetry = telemetry
         self.cdn_map = build_cdn_map(world)

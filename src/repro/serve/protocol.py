@@ -159,7 +159,8 @@ def parse_query(obj: Any) -> Query:
                 f"unknown mode {mode!r}; expected one of {METRIC_COLUMNS}"
             )
         service = obj.get("service", "dns")
-        if service not in SERVICE_CODES:
+        # SERVICE_CODES is a dict: an unhashable value must not reach it.
+        if not isinstance(service, str) or service not in SERVICE_CODES:
             raise BadRequestError(
                 f"unknown service {service!r}; expected one of "
                 f"{tuple(SERVICE_CODES)}"

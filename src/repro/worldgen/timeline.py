@@ -225,10 +225,9 @@ class Timeline:
     def world(self, epoch: int) -> World:
         """Materialize one epoch into a live measurable world.
 
-        Each call materializes afresh: a live world is *stateful* (its
-        resolver caches answers and its clock advances as measurements
-        run), so sharing one instance between two campaigns would leak
-        state from the first into the second and break reproducibility.
+        Each call materializes afresh; nothing is cached here. A world is
+        reusable (every campaign measures through its own cold vantage),
+        so a caller that measures one epoch twice may keep the instance.
         """
         return World(
             materialize(self.spec(epoch)), self.config.world_config(epoch)

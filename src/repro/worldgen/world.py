@@ -1,8 +1,9 @@
-"""The :class:`World`: a live simulated internet plus measurement handles.
+"""The :class:`World`: a live simulated internet.
 
-Wraps a materialized snapshot with a caching resolver, a dig client, a web
-client, and a crawler — the toolbox a vantage point has — plus fault
-injection (provider outages) used by the incident-replay experiments.
+Wraps a materialized snapshot with fault injection (provider outages)
+used by the incident-replay experiments. A world holds infrastructure
+only: measurement tools — a caching resolver, a dig client, a web client
+and a crawler — come from :meth:`World.vantage`, cold on every call.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from repro.dnssim.cache import DnsCache
 from repro.dnssim.client import DigClient
 from repro.dnssim.resolver import IterativeResolver
 from repro.faults.injector import FaultInjector
@@ -43,20 +43,6 @@ class World:
     def __init__(self, materialized: MaterializedWorld, config: WorldConfig):
         self._m = materialized
         self.config = config
-        self.resolver = IterativeResolver(
-            materialized.dns_network,
-            materialized.root_hints,
-            clock=materialized.clock,
-        )
-        self.dig = DigClient(self.resolver)
-        self.web_client = WebClient(
-            dns=self.dig,
-            fabric=materialized.http_fabric,
-            trust_store=materialized.trust_store,
-            clock=materialized.clock,
-            revocation_policy=RevocationPolicy.SOFT_FAIL,
-        )
-        self.crawler = Crawler(self.web_client, clock=materialized.clock)
         self.fault_injector: Optional[FaultInjector] = None
 
     # -- accessors ---------------------------------------------------------
@@ -101,36 +87,19 @@ class World:
     def website_infra(self):
         return self._m.website_infra
 
-    def fresh_client(
+    def vantage(
         self,
-        policy: RevocationPolicy = RevocationPolicy.HARD_FAIL,
         region: Optional[str] = None,
-    ) -> WebClient:
-        """A new client with a cold resolver cache (an independent user),
-        optionally resolving from a specific region (GeoDNS views)."""
+        policy: RevocationPolicy = RevocationPolicy.SOFT_FAIL,
+    ) -> VantagePoint:
+        """A cold measurement vantage (resolver/dig/client/crawler): an
+        independent user in ``region`` (GeoDNS views apply) validating
+        revocation under ``policy`` — the multi-vantage extension of the
+        paper's §3.5. Vantages share no cache with each other."""
         resolver = IterativeResolver(
             self._m.dns_network,
             self._m.root_hints,
             clock=self._m.clock,
-            cache=DnsCache(self._m.clock),
-            region=region,
-        )
-        return WebClient(
-            dns=DigClient(resolver),
-            fabric=self._m.http_fabric,
-            trust_store=self._m.trust_store,
-            clock=self._m.clock,
-            revocation_policy=policy,
-        )
-
-    def vantage(self, region: Optional[str]) -> "VantagePoint":
-        """A full measurement vantage (resolver/dig/client/crawler) in
-        ``region`` — the multi-vantage extension of the paper's §3.5."""
-        resolver = IterativeResolver(
-            self._m.dns_network,
-            self._m.root_hints,
-            clock=self._m.clock,
-            cache=DnsCache(self._m.clock),
             region=region,
         )
         dig = DigClient(resolver)
@@ -139,7 +108,7 @@ class World:
             fabric=self._m.http_fabric,
             trust_store=self._m.trust_store,
             clock=self._m.clock,
-            revocation_policy=RevocationPolicy.SOFT_FAIL,
+            revocation_policy=policy,
         )
         return VantagePoint(
             region=region,

@@ -35,6 +35,12 @@ def world_2020():
     return build_world(WorldConfig(n_websites=SMALL_N, seed=SEED))
 
 
+@pytest.fixture
+def vantage(world_2020):
+    """A cold measurement vantage on the session world, one per test."""
+    return world_2020.vantage()
+
+
 @pytest.fixture(scope="session")
 def snapshot_2020(world_2020):
     return analyze_world(world_2020)

@@ -78,22 +78,22 @@ class TestCatalogConsistency:
 
 
 class TestDigClientEdges:
-    def test_cname_chain_of_plain_host(self, world_2020):
+    def test_cname_chain_of_plain_host(self, world_2020, vantage):
         spec = world_2020.spec.websites[0]
-        assert world_2020.dig.cname_chain(spec.domain) == []
+        assert vantage.dig.cname_chain(spec.domain) == []
 
-    def test_ns_of_unresolvable_name(self, world_2020):
-        assert world_2020.dig.ns("nope.invalid-tld-xyz") == []
+    def test_ns_of_unresolvable_name(self, vantage):
+        assert vantage.dig.ns("nope.invalid-tld-xyz") == []
 
-    def test_soa_of_unresolvable_name(self, world_2020):
+    def test_soa_of_unresolvable_name(self, vantage):
         # Unknown TLD: the root answers NXDOMAIN with the root SOA.
-        soa = world_2020.dig.soa("nope.invalid-tld-xyz")
+        soa = vantage.dig.soa("nope.invalid-tld-xyz")
         assert soa is None or soa.mname  # never raises
 
-    def test_query_passthrough(self, world_2020):
+    def test_query_passthrough(self, vantage):
         from repro.dnssim.records import RRType
 
-        result = world_2020.dig.query("twitter.com", RRType.NS)
+        result = vantage.dig.query("twitter.com", RRType.NS)
         assert result.records
 
 
@@ -110,13 +110,13 @@ class TestWorldApi:
         world_2020.restore_all()
         assert not world_2020.dns_network.down_ips()
 
-    def test_fresh_client_has_cold_cache(self, world_2020):
+    def test_two_vantages_share_no_cache(self, world_2020, vantage):
         spec = world_2020.spec.websites[0]
-        world_2020.dig.is_resolvable(spec.domain)  # warm the shared cache
-        client = world_2020.fresh_client()
-        queries_before = client._dns.resolver.stats.queries  # noqa: SLF001
-        client.get(f"http://www.{spec.domain}/")
-        assert client._dns.resolver.stats.queries > queries_before  # noqa: SLF001
+        vantage.dig.is_resolvable(spec.domain)  # warm the first cache
+        other = world_2020.vantage()
+        assert other.resolver.cache is not vantage.resolver.cache
+        other.web_client.get(f"http://www.{spec.domain}/")
+        assert other.resolver.stats.queries > 0
 
     def test_misconfigure_ca_toggles(self, world_2020):
         infra = world_2020.ca_infra["digicert"]

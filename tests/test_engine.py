@@ -40,10 +40,15 @@ def engine_config() -> WorldConfig:
 
 
 @pytest.fixture(scope="module")
-def serial_json(engine_config) -> str:
+def engine_world(engine_config):
+    """One world for every direct serial campaign in this module."""
+    return build_world(engine_config)
+
+
+@pytest.fixture(scope="module")
+def serial_json(engine_world) -> str:
     """The ground truth: a direct serial campaign, serialized."""
-    world = build_world(engine_config)
-    return dataset_to_json(MeasurementCampaign(world).run())
+    return dataset_to_json(MeasurementCampaign(engine_world).run())
 
 
 class TestPlanning:
@@ -114,9 +119,8 @@ class TestEquivalence:
         result = run_campaign(engine_config, shards=8, workers=WORKERS)
         assert dataset_to_json(result) == serial_json
 
-    def test_limit_and_shards(self, engine_config):
-        world = build_world(engine_config)
-        direct = MeasurementCampaign(world, limit=40).run()
+    def test_limit_and_shards(self, engine_config, engine_world):
+        direct = MeasurementCampaign(engine_world, limit=40).run()
         sharded = run_campaign(engine_config, shards=5, workers=1, limit=40)
         assert dataset_to_json(sharded) == dataset_to_json(direct)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import WorldConfig, build_world
 from repro.core.graph import ProviderNode, ServiceType
 from repro.failures import (
     simulate_ca_outage,
@@ -44,7 +45,7 @@ class TestDnsOutage:
             if w.dns.providers == ["cloudflare"]
         )
         simulate_dns_outage(world_2020, "cloudflare", domains=[victim])
-        client = world_2020.fresh_client()
+        client = world_2020.vantage().web_client
         assert client.get(f"http://www.{victim}/").ok
 
     def test_prediction_matches_behaviour(self, world_2020, snapshot_2020):
@@ -112,20 +113,26 @@ class TestCaOutage:
         assert set(result.unaffected) == set(stapled)
 
 
+@pytest.fixture(scope="module")
+def revocation_world():
+    """A private world: the incident advances its clock by days."""
+    return build_world(WorldConfig(n_websites=600, seed=11))
+
+
 class TestMassRevocation:
-    def test_three_phase_incident(self, world_2020):
+    def test_three_phase_incident(self, revocation_world):
         victims = [
-            w.domain for w in world_2020.spec.websites
+            w.domain for w in revocation_world.spec.websites
             if w.https and w.ca_key == "globalsign" and not w.ocsp_stapled
         ][:6]
         controls = [
-            w.domain for w in world_2020.spec.websites
+            w.domain for w in revocation_world.spec.websites
             if w.https and w.ca_key == "digicert" and not w.ocsp_stapled
         ][:4]
         if not victims:
             pytest.skip("no globalsign customers")
         result = simulate_mass_revocation(
-            world_2020, "globalsign", victims + controls
+            revocation_world, "globalsign", victims + controls
         )
         assert set(victims) <= set(result.denied_during)
         assert not set(controls) & set(result.denied_during)

@@ -50,6 +50,11 @@ def world(faults_config):
     return build_world(faults_config)
 
 
+@pytest.fixture()
+def vantage(world):
+    return world.vantage()
+
+
 def _rank1_domain(world) -> str:
     return min(world.spec.websites, key=lambda w: w.rank).domain
 
@@ -327,48 +332,48 @@ class TestRetryPolicy:
 
 
 class TestDnsFaultBehaviour:
-    def test_drop_exhausts_retries_then_fails(self, world):
+    def test_drop_exhausts_retries_then_fails(self, world, vantage):
         domain = _rank1_domain(world)
         world.install_faults(FaultPlan(rules=(_dns_rule(domain, "drop"),)))
-        assert not world.dig.is_resolvable(domain)
-        status = world.dig.last_status
+        assert not vantage.dig.is_resolvable(domain)
+        status = vantage.dig.last_status
         assert status.attempts == DEFAULT_RETRY_POLICY.max_attempts
         assert status.failure.startswith("dns:")
         assert status.degraded
-        assert world.resolver.stats.retries > 0
+        assert vantage.resolver.stats.retries > 0
 
-    def test_servfail_is_reported_as_upstream_rcode(self, world):
+    def test_servfail_is_reported_as_upstream_rcode(self, world, vantage):
         domain = _rank1_domain(world)
         world.install_faults(FaultPlan(rules=(_dns_rule(domain, "servfail"),)))
-        assert not world.dig.is_resolvable(domain)
-        assert "SERVFAIL" in world.dig.last_status.failure
+        assert not vantage.dig.is_resolvable(domain)
+        assert "SERVFAIL" in vantage.dig.last_status.failure
 
     @pytest.mark.parametrize("kind", ["refused", "lame", "truncate"])
-    def test_degenerate_responses_break_resolution(self, world, kind):
+    def test_degenerate_responses_break_resolution(self, world, vantage, kind):
         domain = _rank1_domain(world)
         world.install_faults(FaultPlan(rules=(_dns_rule(domain, kind),)))
-        assert not world.dig.is_resolvable(domain)
-        assert world.dig.last_status.degraded
+        assert not vantage.dig.is_resolvable(domain)
+        assert vantage.dig.last_status.degraded
 
-    def test_slow_advances_the_clock_but_answers(self, world):
+    def test_slow_advances_the_clock_but_answers(self, world, vantage):
         domain = _rank1_domain(world)
         clock = world._m.clock
         before = clock.now()
         world.install_faults(
             FaultPlan(rules=(_dns_rule(domain, "slow", delay=5.0),))
         )
-        assert world.dig.is_resolvable(domain)
+        assert vantage.dig.is_resolvable(domain)
         assert clock.now() >= before + 5.0
-        assert not world.dig.last_status.degraded
+        assert not vantage.dig.last_status.degraded
 
-    def test_clear_faults_restores_health(self, world):
+    def test_clear_faults_restores_health(self, world, vantage):
         domain = _rank1_domain(world)
         world.install_faults(FaultPlan(rules=(_dns_rule(domain, "drop"),)))
-        assert not world.dig.is_resolvable(domain)
+        assert not vantage.dig.is_resolvable(domain)
         world.clear_faults()
-        assert world.dig.is_resolvable(domain)
+        assert vantage.dig.is_resolvable(domain)
 
-    def test_retries_recover_from_partial_drops(self, world):
+    def test_retries_recover_from_partial_drops(self, world, vantage):
         # With a per-(ip, attempt) keyed 50% drop, some query needs a
         # second round; the retry loop must still land every answer.
         domain = _rank1_domain(world)
@@ -377,13 +382,13 @@ class TestDnsFaultBehaviour:
                 rules=(_dns_rule(domain, "drop", probability=0.5),), seed=2
             )
         )
-        assert world.dig.is_resolvable(domain)
-        assert world.dig.last_status.attempts > 1
-        assert not world.dig.last_status.degraded
+        assert vantage.dig.is_resolvable(domain)
+        assert vantage.dig.last_status.attempts > 1
+        assert not vantage.dig.last_status.degraded
 
 
 class TestWebTlsFaultBehaviour:
-    def test_timeout_fails_the_crawl_after_retries(self, world):
+    def test_timeout_fails_the_crawl_after_retries(self, world, vantage):
         domain = _rank1_domain(world)
         world.install_faults(
             FaultPlan(
@@ -392,13 +397,13 @@ class TestWebTlsFaultBehaviour:
                 )
             )
         )
-        result = world.crawler.crawl(domain)
+        result = vantage.crawler.crawl(domain)
         assert not result.ok
         assert result.error.startswith("tcp:")
-        assert result.attempts == world.crawler.retry_policy.max_attempts
-        assert world.crawler.retries > 0
+        assert result.attempts == vantage.crawler.retry_policy.max_attempts
+        assert vantage.crawler.retries > 0
 
-    def test_http_error_returns_the_configured_status(self, world):
+    def test_http_error_returns_the_configured_status(self, world, vantage):
         domain = _rank1_domain(world)
         world.install_faults(
             FaultPlan(
@@ -408,12 +413,12 @@ class TestWebTlsFaultBehaviour:
                 )
             )
         )
-        result = world.crawler.crawl(domain)
+        result = vantage.crawler.crawl(domain)
         assert not result.ok
         assert result.error == "http: status 502"
-        assert result.attempts == world.crawler.retry_policy.max_attempts
+        assert result.attempts == vantage.crawler.retry_policy.max_attempts
 
-    def test_web_retries_recover_from_partial_timeouts(self, world):
+    def test_web_retries_recover_from_partial_timeouts(self, world, vantage):
         domain = _rank1_domain(world)
         world.install_faults(
             FaultPlan(
@@ -424,7 +429,7 @@ class TestWebTlsFaultBehaviour:
                 seed=3,
             )
         )
-        result = world.crawler.crawl(domain)
+        result = vantage.crawler.crawl(domain)
         assert result.ok
         assert result.attempts > 1
 
@@ -448,16 +453,16 @@ class TestWebTlsFaultBehaviour:
 
 
 class TestFaultedCampaigns:
-    def test_empty_plan_output_is_byte_identical(self, faults_config):
-        # The PR's acceptance criterion: running under an *empty* plan is
-        # the plan-less pipeline, bit for bit.
-        plain = MeasurementCampaign(build_world(faults_config), limit=30).run()
+    def test_empty_plan_output_is_byte_identical(self, world):
+        # Running under an *empty* plan is the plan-less pipeline, bit for
+        # bit.
+        plain = MeasurementCampaign(world, limit=30).run()
         empty = MeasurementCampaign(
-            build_world(faults_config), limit=30, fault_plan=FaultPlan()
+            world, limit=30, fault_plan=FaultPlan()
         ).run()
         assert dataset_to_json(empty) == dataset_to_json(plain)
 
-    def test_faulted_campaign_replays_byte_identically(self, faults_config):
+    def test_faulted_campaign_replays_byte_identically(self, world):
         plan = FaultPlan(
             rules=(
                 FaultRule(name="flaky-dns", layer="dns", kind="drop",
@@ -467,24 +472,18 @@ class TestFaultedCampaigns:
             ),
             seed=21,
         )
-        first = MeasurementCampaign(
-            build_world(faults_config), limit=30, fault_plan=plan
-        ).run()
-        second = MeasurementCampaign(
-            build_world(faults_config), limit=30, fault_plan=plan
-        ).run()
+        first = MeasurementCampaign(world, limit=30, fault_plan=plan).run()
+        second = MeasurementCampaign(world, limit=30, fault_plan=plan).run()
         assert dataset_to_json(first) == dataset_to_json(second)
 
-    def test_rank_window_degrades_exactly_the_windowed_sites(self, faults_config):
+    def test_rank_window_degrades_exactly_the_windowed_sites(self, world):
         plan = FaultPlan(
             rules=(
                 FaultRule(name="head-outage", layer="web", kind="http_error",
                           status=502, rank_window=(1, 5)),
             )
         )
-        dataset = MeasurementCampaign(
-            build_world(faults_config), limit=30, fault_plan=plan
-        ).run()
+        dataset = MeasurementCampaign(world, limit=30, fault_plan=plan).run()
         assert len(dataset.websites) == 30
         for website in dataset.websites:
             if website.rank <= 5:
@@ -495,10 +494,9 @@ class TestFaultedCampaigns:
                 assert not website.tls.degraded
                 assert website.tls.failure_mode == ""
 
-    def test_outage_prediction_matches_injected_reality(self, faults_config):
+    def test_outage_prediction_matches_injected_reality(self, world):
         from repro.failures import validate_outage_prediction
 
-        world = build_world(faults_config)
         report = validate_outage_prediction(world, "dyn")
         assert report.predicted, "the dyn provider should have customers"
         assert report.consistent

@@ -45,7 +45,7 @@ class TestWorldVantage:
     def test_vantage_resolver_is_region_tagged(self, world_2020):
         vantage = world_2020.vantage("cn")
         assert vantage.resolver.region == "cn"
-        assert world_2020.resolver.region is None
+        assert world_2020.vantage().resolver.region is None
 
     def test_regional_site_resolves_differently(self, world_2020):
         site = next(

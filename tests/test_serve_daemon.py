@@ -25,6 +25,8 @@ import time
 from http.client import HTTPConnection
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import WorldConfig, build_world
 from repro.measurement.io import dataset_to_json
@@ -38,7 +40,12 @@ from repro.serve.client import (
     send_query,
 )
 from repro.serve.http import ReproServeDaemon
-from repro.serve.protocol import BadRequestError, UnknownStoreError
+from repro.serve.protocol import (
+    BadRequestError,
+    Query,
+    UnknownStoreError,
+    parse_query,
+)
 from repro.serve.registry import StoreRegistry, parse_store_specs
 from repro.serve.service import ServeService
 from repro.store import compile_dataset_text
@@ -229,6 +236,22 @@ class TestServeService:
             "unknown-store", "bad-request", "unknown-name", "bad-request",
         ]
 
+    def test_batch_answers_around_an_unhashable_field(self, store_paths):
+        service = ServeService(StoreRegistry(store_paths))
+        envelope = service.answer_batch(
+            {
+                "queries": [
+                    {"store": "y2020", "query": {"kind": "top", "k": 1}},
+                    {"store": "y2020",
+                     "query": {"kind": "top", "service": []}},
+                    {"store": "y2020", "query": {"kind": "top", "k": 2}},
+                ]
+            }
+        )
+        statuses = [result["status"] for result in envelope["results"]]
+        assert statuses == [200, 400, 200]
+        assert envelope["results"][1]["error"]["type"] == "bad-request"
+
     def test_statz_counts_requests(self, store_paths):
         service = ServeService(StoreRegistry(store_paths))
         service.record("/v1/query", 200)
@@ -242,6 +265,44 @@ class TestServeService:
             "requests{endpoint=/v1/query,status=404}"
         ] == 1
         assert stats["registry"]["stores"] == 2
+
+
+# -- query parsing ------------------------------------------------------------
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+
+_VALID_FIELDS = {
+    "kind": "top",
+    "k": 3,
+    "mode": "impact",
+    "service": "dns",
+    "site": "twitter.com",
+    "provider": "dns:dynect.net",
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["top", "site", "dependents", "whatif"]),
+    field=st.sampled_from(sorted(_VALID_FIELDS)),
+    value=_JSON_VALUES,
+)
+def test_any_json_field_value_parses_or_is_a_bad_request(kind, field, value):
+    """Every JSON value in every query field is a Query or a typed 400."""
+    obj = {**_VALID_FIELDS, "kind": kind, field: value}
+    try:
+        assert isinstance(parse_query(obj), Query)
+    except BadRequestError:
+        pass
 
 
 # -- HTTP boundary ------------------------------------------------------------

@@ -15,32 +15,32 @@ def any_https_site(world_2020):
 
 
 class TestWebClient:
-    def test_fetch_landing_page(self, world_2020):
+    def test_fetch_landing_page(self, world_2020, vantage):
         spec = world_2020.spec.websites[0]
         scheme = "https" if spec.https else "http"
-        result = world_2020.web_client.get(f"{scheme}://www.{spec.domain}/")
+        result = vantage.web_client.get(f"{scheme}://www.{spec.domain}/")
         assert result.ok, result.error
         assert result.status == 200
         assert result.ip
 
-    def test_https_validates_chain(self, world_2020):
+    def test_https_validates_chain(self, world_2020, vantage):
         spec = next(w for w in world_2020.spec.websites if w.https)
-        result = world_2020.web_client.get(f"https://www.{spec.domain}/")
+        result = vantage.web_client.get(f"https://www.{spec.domain}/")
         assert result.https_ok
         assert result.chain is not None
         assert result.validation.chain_ok
 
-    def test_stapled_site_presents_staple(self, world_2020, any_https_site):
-        result = world_2020.web_client.get(f"https://www.{any_https_site.domain}/")
+    def test_stapled_site_presents_staple(self, vantage, any_https_site):
+        result = vantage.web_client.get(f"https://www.{any_https_site.domain}/")
         assert result.stapled_response is not None
 
-    def test_unknown_host_fails_cleanly(self, world_2020):
-        result = world_2020.web_client.get("https://no-such-site.example/")
+    def test_unknown_host_fails_cleanly(self, vantage):
+        result = vantage.web_client.get("https://no-such-site.example/")
         assert not result.ok
         assert result.error.startswith("dns:")
 
-    def test_bad_url_fails_cleanly(self, world_2020):
-        result = world_2020.web_client.get("not a url")
+    def test_bad_url_fails_cleanly(self, vantage):
+        result = vantage.web_client.get("not a url")
         assert not result.ok and result.error.startswith("bad-url")
 
     def test_hard_fail_client_checks_revocation(self, world_2020):
@@ -48,7 +48,9 @@ class TestWebClient:
             w for w in world_2020.spec.websites
             if w.https and w.ca_key not in (None, "_private") and not w.ocsp_stapled
         )
-        client = world_2020.fresh_client(policy=RevocationPolicy.HARD_FAIL)
+        client = world_2020.vantage(
+            policy=RevocationPolicy.HARD_FAIL
+        ).web_client
         result = client.get(f"https://www.{spec.domain}/")
         assert result.ok, result.error
         assert result.validation.revocation_checked
@@ -62,7 +64,9 @@ class TestWebClient:
         ca = infra.issuing_ca
         ca.revoke(infra.chain.leaf.serial)
         try:
-            client = world_2020.fresh_client(policy=RevocationPolicy.HARD_FAIL)
+            client = world_2020.vantage(
+                policy=RevocationPolicy.HARD_FAIL
+            ).web_client
             result = client.get(f"https://www.{spec.domain}/")
             assert not result.ok
             assert "revoked" in result.error
@@ -71,42 +75,44 @@ class TestWebClient:
 
 
 class TestCrawler:
-    def test_crawl_records_hostnames(self, world_2020):
+    def test_crawl_records_hostnames(self, world_2020, vantage):
         spec = next(w for w in world_2020.spec.websites if w.n_internal_resources >= 3)
-        result: CrawlResult = world_2020.crawler.crawl(spec.domain)
+        result: CrawlResult = vantage.crawler.crawl(spec.domain)
         assert result.ok
         assert result.landing_url.endswith(f"{spec.domain}/")
         assert len(result.resource_hostnames) >= 1
 
-    def test_crawl_extracts_certificate_fields(self, world_2020):
+    def test_crawl_extracts_certificate_fields(self, world_2020, vantage):
         spec = next(w for w in world_2020.spec.websites if w.https)
-        result = world_2020.crawler.crawl(spec.domain)
+        result = vantage.crawler.crawl(spec.domain)
         assert result.https
         assert result.certificate is not None
         assert spec.domain in result.san
 
-    def test_crawl_falls_back_to_http(self, world_2020):
+    def test_crawl_falls_back_to_http(self, world_2020, vantage):
         spec = next(w for w in world_2020.spec.websites if not w.https)
-        result = world_2020.crawler.crawl(spec.domain)
+        result = vantage.crawler.crawl(spec.domain)
         assert result.ok and not result.https
         assert result.landing_url.startswith("http://")
 
-    def test_crawl_of_dead_domain(self, world_2020):
-        result = world_2020.crawler.crawl("definitely-not-registered.example")
+    def test_crawl_of_dead_domain(self, vantage):
+        result = vantage.crawler.crawl("definitely-not-registered.example")
         assert not result.ok
         assert result.error
 
-    def test_external_resources_visible(self, world_2020):
+    def test_external_resources_visible(self, world_2020, vantage):
         spec = next(
             w for w in world_2020.spec.websites if w.external_resource_domains
         )
-        result = world_2020.crawler.crawl(spec.domain)
+        result = vantage.crawler.crawl(spec.domain)
         external_hosts = {
             f"cdn.{d}" for d in spec.external_resource_domains
         }
         assert external_hosts & set(result.resource_hostnames)
 
-    def test_hostnames_with_self_includes_landing_host(self, world_2020):
+    def test_hostnames_with_self_includes_landing_host(
+        self, world_2020, vantage
+    ):
         spec = world_2020.spec.websites[0]
-        result = world_2020.crawler.crawl(spec.domain)
+        result = vantage.crawler.crawl(spec.domain)
         assert result.hostnames_with_self()[0] == f"www.{spec.domain}"
