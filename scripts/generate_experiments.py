@@ -70,10 +70,14 @@ function of (world config, seed): rerunning any experiment — serially
 or on a worker pool — reproduces it byte-for-byte. That property is
 enforced statically by `repro.staticcheck` (`python -m repro lint`),
 which forbids wall-clock/entropy reads outside the simulated clock
-(REP001), order-sensitive set iteration (REP002), layer-violating
-imports (REP003), non-picklable or state-mutating worker callables
-(REP004), and serialization-contract drift in the measurement records
-(REP005). CI runs the linter (plus strict mypy over `repro.engine` and
+(REP001), layer-violating imports (REP003), serialization-contract
+drift in the measurement records (REP005), and observability leaks —
+wall-clock reads in serialized telemetry modules, or the measurement
+core importing telemetry at all (REP006). Its flow-aware rules follow
+nondeterministic values into serialized artifacts (REP007), set
+iteration order into ordered outputs (REP008), and worker tasks to
+non-picklable callables or module-state mutation (REP009). CI runs the
+linter (plus strict mypy over `repro.engine` and
 `repro.measurement.io`) on every push; `tests/test_staticcheck_self.py`
 keeps `src/` at zero findings.
 

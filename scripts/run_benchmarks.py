@@ -338,7 +338,7 @@ def run_query_bench(snapshot) -> dict:
 
 def _serve_forever(daemon) -> None:
     """Module-level serve loop entry (worker callables must not be
-    bound attributes — REP004)."""
+    bound attributes — REP009)."""
     daemon.serve_forever()
 
 

@@ -342,7 +342,7 @@ class DependencyGraph:
                 continue
             seen.add(node)
             deps = self.provider_dependencies(node, critical_only=True)
-            frontier.extend(deps - seen)  # repro: noqa[REP002,REP008] -- traversal order cannot change the visited set; only len(seen) is returned
+            frontier.extend(deps - seen)  # repro: noqa[REP008] -- traversal order cannot change the visited set; only len(seen) is returned
         return len(seen)
 
     def __repr__(self) -> str:

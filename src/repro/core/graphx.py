@@ -196,7 +196,7 @@ class MetricEngine:
         for provider in nodes if nodes is not None else self._providers:
             bits = 0
             # OR-accumulation is order-insensitive, so the raw set is fine.
-            for domain in graph.direct_dependents(provider, critical_only):  # repro: noqa[REP002] -- bitwise OR commutes; iteration order cannot reach any output
+            for domain in graph.direct_dependents(provider, critical_only):
                 bits |= 1 << domain_id[domain]
             direct[provider] = bits
         return direct

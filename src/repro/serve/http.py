@@ -225,8 +225,10 @@ class ServeHandler(BaseHTTPRequestHandler):
         raw = self._read_body()
         try:
             doc = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise BadRequestError(f"request body is not JSON: {exc}") from None
+        except RecursionError:
+            raise BadRequestError("request body nests too deeply") from None
         if not isinstance(doc, dict):
             raise BadRequestError("request body must be a JSON object")
         return doc

@@ -5,8 +5,8 @@ linted file's display path to its last result, keyed on the sha256 of
 the file's *content* — not its mtime, so checkouts, copies and CI cache
 restores all hit. The whole cache is invalidated when either
 
-* the rule pack changes (``RULESET_VERSION`` is bumped whenever any
-  rule's semantics change), or
+* the linter's source changes (``ruleset_digest()`` is a sha256 over
+  every module of :mod:`repro.staticcheck`), or
 * the lint configuration changes (``LintConfig.fingerprint()``),
 
 because a cached "clean" verdict is only as good as the rules and knobs
@@ -24,7 +24,7 @@ from typing import Optional, Union
 
 from repro.staticcheck.config import LintConfig
 from repro.staticcheck.model import Edit, Finding, LintResult, Suppression
-from repro.staticcheck.rules import RULESET_VERSION
+from repro.staticcheck.rules import ruleset_digest
 
 CACHE_VERSION = 1
 DEFAULT_CACHE_NAME = ".repro-lint-cache.json"
@@ -64,7 +64,7 @@ class LintCache:
 
     def __init__(self, path: Union[str, Path], config: LintConfig) -> None:
         self.path = Path(path)
-        self._ruleset = RULESET_VERSION
+        self._ruleset = ruleset_digest()
         self._config_fp = config.fingerprint()
         self._files: dict[str, dict] = {}
         self._dirty = False

@@ -76,9 +76,9 @@ class LintConfig:
     # REP003: package name -> layer number.
     rep003_layers: dict[str, int] = field(default_factory=_default_layers)
 
-    # REP004: attribute names treated as executor submission points, and
+    # REP009: attribute names treated as executor submission points, and
     # keyword arguments whose value is a worker callable.
-    rep004_submit_methods: frozenset[str] = frozenset(
+    rep009_submit_methods: frozenset[str] = frozenset(
         {
             "imap",
             "imap_unordered",
@@ -91,7 +91,7 @@ class LintConfig:
             "submit",
         }
     )
-    rep004_callable_kwargs: frozenset[str] = frozenset({"initializer", "target"})
+    rep009_callable_kwargs: frozenset[str] = frozenset({"initializer", "target"})
 
     # REP005: modules whose dataclasses form the serialization contract.
     rep005_record_modules: frozenset[str] = frozenset(
@@ -168,7 +168,7 @@ class LintConfig:
     )
 
     # REP009: extra worker entry points, as ``dotted.module:function``.
-    # Submission sites (REP004's submit methods) are detected
+    # Submission sites (the submit methods above) are detected
     # automatically; this names entry points whose submission happens in
     # *another* module.
     rep009_entry_points: frozenset[str] = frozenset()

@@ -26,7 +26,7 @@ PARSE_RULE_ID = "PARSE"
 
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa"  # the marker
-    r"(?:\[(?P<rules>[A-Z0-9,\s]+)\])?"  # optional [REP001,REP002]
+    r"(?:\[(?P<rules>[A-Z0-9,\s]+)\])?"  # optional [REP001,REP008]
     r"(?:\s*--\s*(?P<reason>.*?))?\s*$"  # optional -- justification
 )
 

@@ -13,7 +13,7 @@ import json
 from typing import Any
 
 from repro.staticcheck.model import LintResult
-from repro.staticcheck.rules import RULESET_VERSION, describe_rules, rule_ids
+from repro.staticcheck.rules import describe_rules, rule_ids, ruleset_digest
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -130,7 +130,7 @@ def render_sarif(result: LintResult) -> str:
                 "tool": {
                     "driver": {
                         "name": "repro-staticcheck",
-                        "version": RULESET_VERSION,
+                        "version": ruleset_digest(),
                         "rules": [
                             {
                                 "id": rule_id,

@@ -13,7 +13,12 @@ import ast
 from typing import Iterator, Optional
 
 from repro.staticcheck.flow.cfg import CFG, CFGNode, build_cfg
-from repro.staticcheck.flow.taint import TaintAnalysis
+from repro.staticcheck.flow.taint import (
+    TaintAnalysis,
+    TaintSpec,
+    class_set_fields,
+    sequence_functions,
+)
 from repro.staticcheck.model import ModuleInfo
 from repro.staticcheck.rules.base import import_table
 
@@ -22,15 +27,42 @@ _MEMO: Optional[tuple[ast.Module, list[TaintAnalysis]]] = None
 
 def module_analyses(module: ModuleInfo) -> list[TaintAnalysis]:
     """A solved :class:`TaintAnalysis` per scope: the module's top level
-    first, then every function definition in source order."""
+    first, then every function definition in source order. A method
+    starts from the ``self.*`` sets its class assigns in any method, so
+    ``list(self.seen)`` is tracked wherever ``self.seen = set()`` sits."""
     global _MEMO
     if _MEMO is not None and _MEMO[0] is module.tree:
         return _MEMO[1]
     table = import_table(module.tree)
-    analyses = [TaintAnalysis(build_cfg(module.tree), table).run()]
-    for node in ast.walk(module.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            analyses.append(TaintAnalysis(build_cfg(node), table).run())
+    spec = TaintSpec(sequence_calls=sequence_functions(module.tree))
+    functions = [
+        node
+        for node in ast.walk(module.tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    solved = {
+        func: TaintAnalysis(build_cfg(func), table, spec).run()
+        for func in functions
+    }
+    for cls in ast.walk(module.tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = [
+            stmt
+            for stmt in cls.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        entry = class_set_fields(cls)
+        for method in methods:
+            for key, taint in solved[method].attribute_sets().items():
+                entry.setdefault(key, taint)
+        if entry:
+            for method in methods:
+                solved[method] = TaintAnalysis(
+                    build_cfg(method), table, spec, entry
+                ).run()
+    analyses = [TaintAnalysis(build_cfg(module.tree), table, spec).run()]
+    analyses.extend(solved[func] for func in functions)
     _MEMO = (module.tree, analyses)
     return analyses
 

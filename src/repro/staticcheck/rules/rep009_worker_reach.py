@@ -1,35 +1,37 @@
-"""REP009 — worker-safety via call-graph reachability.
+"""REP009 — worker safety: pickle-safe entry points, no reachable
+module-state mutation.
 
-REP004 checks the callable handed to an executor: it must be a
-module-level function and must not itself rebind module globals. That
-leaves a hole the size of a helper function — a task that *calls* a
-function that mutates module-level state smuggles exactly the same
-per-process divergence past the check, and PR 2 closed it by hand-
-listing modules instead of proving reachability.
+The engine ships work to ``multiprocessing`` pools, so results must not
+depend on which worker ran which shard first. Submission points are
+attribute calls named ``imap``/``imap_unordered``/``map``/
+``apply_async``/``submit``/... (``LintConfig.rep009_submit_methods``,
+first argument: a *task*) plus the ``initializer=``/``target=`` keywords
+of any call (``rep009_callable_kwargs``: an *initializer*). At each one
+the callable must be a **module-level function** — lambdas, nested
+closures and bound-method attributes either fail to pickle or smuggle
+unpickled state across the process boundary.
 
-This rule builds the module's call graph
+The rule then builds the module's call graph
 (:mod:`repro.staticcheck.flow.callgraph`), seeds it with every task
-callable submitted to an executor in that module (the same submission
-points REP004 watches: ``imap``/``map``/``submit``/... first arguments)
 plus any configured entry points (``rep009_entry_points``, as
-``module:function``), and flags, in every *reachable* function:
+``module:function``), and flags, in the task and every function it
+*reaches*:
 
-* ``global`` rebinding (beyond the entry function REP004 already
-  covers, this reaches transitively-called helpers);
+* ``global`` rebinding;
 * in-place mutation of a module-level binding — subscript or attribute
   assignment (``_CACHE[key] = ...``, ``mod.attr = ...``) and calls to
   mutating methods (``append``/``add``/``update``/``pop``/...) whose
   receiver is a module-level name.
 
-Pool initializers stay exempt (``initializer=``/``target=`` keywords
-and ``_init*``-named functions): per-process setup is *supposed* to
-write the module state the tasks later read.
+Pool initializers stay exempt (the keywords above and ``_init*``-named
+functions): per-process setup is *supposed* to write the module state
+the tasks later read.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable
+from typing import Iterable, Iterator, Optional
 
 from repro.staticcheck.config import LintConfig
 from repro.staticcheck.flow.callgraph import build_call_graph
@@ -60,6 +62,24 @@ def _module_level_bindings(tree: ast.Module) -> set[str]:
     return bound
 
 
+def _nested_only(tree: ast.Module) -> set[str]:
+    """Names defined only inside another function's body (closures)."""
+    nested: set[str] = set()
+    for outer in ast.walk(tree):
+        if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nested.update(
+                inner.name
+                for inner in ast.walk(outer)
+                if inner is not outer
+                and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return nested - {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
 def _target_names(target: ast.expr) -> list[str]:
     if isinstance(target, ast.Name):
         return [target.id]
@@ -73,17 +93,28 @@ def _target_names(target: ast.expr) -> list[str]:
 
 class WorkerReachabilityRule(Rule):
     rule_id = "REP009"
-    title = "no module-state mutation reachable from worker entry points"
+    title = (
+        "executor callables must be module-level, and no worker task may "
+        "mutate module state"
+    )
 
     def check(self, module: ModuleInfo, config: LintConfig) -> list[Finding]:
         tree = module.tree
-        tasks, initializers = self._submitted(tree, config)
+        findings: list[Finding] = []
+        tasks: set[str] = set()
+        initializers: set[str] = set()
+        submitted = list(self._submitted(tree, config))
+        nested = _nested_only(tree) if submitted else set()
+        for worker, is_task in submitted:
+            findings.extend(self._check_shape(module, worker, nested))
+            if isinstance(worker, ast.Name):
+                (tasks if is_task else initializers).add(worker.id)
         for dotted in config.rep009_entry_points:
             mod, _, func = dotted.partition(":")
             if mod == module.module and func:
                 tasks.add(func)
         if not tasks:
-            return []
+            return findings
         graph = build_call_graph(tree)
         exempt = initializers | {
             name for name in graph.functions if name.startswith("_init")
@@ -94,7 +125,6 @@ class WorkerReachabilityRule(Rule):
             if name not in exempt
         ]
         module_names = _module_level_bindings(tree)
-        findings: list[Finding] = []
         for name in reachable:
             func = graph.functions[name]
             findings.extend(
@@ -104,29 +134,43 @@ class WorkerReachabilityRule(Rule):
             )
         return findings
 
+    @staticmethod
     def _submitted(
-        self, tree: ast.Module, config: LintConfig
-    ) -> tuple[set[str], set[str]]:
-        """(task callables, initializer callables) submitted anywhere."""
-        tasks: set[str] = set()
-        initializers: set[str] = set()
+        tree: ast.Module, config: LintConfig
+    ) -> Iterator[tuple[ast.expr, bool]]:
+        """(callable expression, is it a task) at every submission point."""
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             if (
                 isinstance(func, ast.Attribute)
-                and func.attr in config.rep004_submit_methods
+                and func.attr in config.rep009_submit_methods
                 and node.args
-                and isinstance(node.args[0], ast.Name)
             ):
-                tasks.add(node.args[0].id)
+                yield node.args[0], True
             for keyword in node.keywords:
-                if keyword.arg in config.rep004_callable_kwargs and isinstance(
-                    keyword.value, ast.Name
-                ):
-                    initializers.add(keyword.value.id)
-        return tasks, initializers
+                if keyword.arg in config.rep009_callable_kwargs:
+                    yield keyword.value, False
+
+    def _check_shape(
+        self, module: ModuleInfo, worker: ast.expr, nested: set[str]
+    ) -> list[Finding]:
+        """A submitted callable must be a module-level function."""
+        problem: Optional[str] = None
+        if isinstance(worker, ast.Lambda):
+            problem = "lambdas do not pickle; define a module-level function"
+        elif isinstance(worker, ast.Name) and worker.id in nested:
+            problem = (
+                f"{worker.id!r} is a nested function (a closure); "
+                f"workers need a module-level entry point"
+            )
+        elif isinstance(worker, ast.Attribute):
+            problem = (
+                f"bound attribute {worker.attr!r} drags its instance "
+                f"across the process boundary; use a module-level function"
+            )
+        return [] if problem is None else [self.finding(module, worker, problem)]
 
     def _check_function(
         self,
@@ -138,17 +182,15 @@ class WorkerReachabilityRule(Rule):
     ) -> Iterable[Finding]:
         local_rebinds = self._locally_bound(func)
         via = "" if is_entry else f" (reachable from a worker task via {name!r})"
+        who = f"worker task {name!r}" if is_entry else f"function {name!r}"
         for node in ast.walk(func):
-            # ``global`` in the entry function itself is REP004's finding;
-            # re-flagging it here would double-report the same line.
-            if isinstance(node, ast.Global) and not is_entry:
+            if isinstance(node, ast.Global):
                 yield self.finding(
                     module,
                     node,
-                    f"function {name!r} is reachable from a worker task and "
-                    f"rebinds module-level state "
-                    f"({', '.join(node.names)}); workers must not mutate "
-                    f"shared module state",
+                    f"{who} rebinds module-level state "
+                    f"({', '.join(node.names)}){via}; move one-time setup "
+                    f"into the pool initializer",
                 )
             elif isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = (

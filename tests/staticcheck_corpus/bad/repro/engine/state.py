@@ -1,8 +1,8 @@
 """Worker task that mutates module state through a helper (REP009).
 
 The task itself never touches ``_RESULTS`` — it calls ``_record``,
-which does. REP004's direct-rebind check cannot see that; the REP009
-call-graph reachability walk can.
+which does. A check of the submitted callable alone cannot see that;
+the REP009 call-graph reachability walk can.
 """
 
 _RESULTS: dict = {}

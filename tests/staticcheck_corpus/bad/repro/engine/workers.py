@@ -1,4 +1,4 @@
-"""Bad fixture: REP004 — unpicklable and state-mutating workers."""
+"""Bad fixture: REP009 — unpicklable and state-mutating workers."""
 
 _CACHE = {}
 

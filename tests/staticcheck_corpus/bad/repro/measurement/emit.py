@@ -1,4 +1,4 @@
-"""Bad fixture: REP002 — set iteration order leaking into output."""
+"""Bad fixture: REP008 — set iteration order leaking into output."""
 
 
 def emit(hostnames: set) -> list:
@@ -13,7 +13,7 @@ def render(tags: frozenset) -> str:
 
 
 def header_row(columns: set) -> str:
-    # dict.fromkeys inherits the set's (non)order; REP002's syntactic
-    # tracker loses the trail here — only REP008's flow analysis keeps it.
+    # dict.fromkeys inherits the set's (non)order; the leak surfaces at
+    # the join, and the finding anchors back at the fromkeys argument.
     ordered = dict.fromkeys(columns)
     return "|".join(ordered)

@@ -1,8 +1,8 @@
 """Good fixture: workers read module state seeded by the initializer.
 
-The initializer is the one sanctioned place to rebind module state
-(REP004), and the task only *reads* ``_WORLD`` — so the REP009
-reachability walk finds no mutation.
+The initializer is the one sanctioned place to rebind module state,
+and the task only *reads* ``_WORLD`` — so the REP009 reachability walk
+finds no mutation.
 """
 
 _WORLD = None

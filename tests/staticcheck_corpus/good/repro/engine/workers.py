@@ -1,4 +1,4 @@
-"""Good fixture: REP004 — module-level, initializer-disciplined workers."""
+"""Good fixture: REP009 — module-level, initializer-disciplined workers."""
 
 _CONFIG = None
 

@@ -1,5 +1,6 @@
-"""Good fixture: REP002 — ``sorted()`` at every set-iteration point,
-plus one justified suppression (exercises the noqa path end to end)."""
+"""Good fixture: REP008 — ``sorted()`` at every set-iteration point that
+reaches an output, a commutative fold that needs none, plus one
+justified suppression (exercises the noqa path end to end)."""
 
 
 def emit(hostnames: set) -> list:
@@ -15,6 +16,18 @@ def render(tags: frozenset) -> str:
 
 def digest(tags: set) -> int:
     total = 0
-    for tag in tags:  # repro: noqa[REP002] -- XOR fold is order-insensitive
+    for tag in tags:
         total ^= len(tag)
     return total
+
+
+def reachable_count(edges: dict, start: str) -> int:
+    seen: set = set()
+    frontier = [start]
+    while frontier:
+        node = frontier.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        frontier.extend(set(edges.get(node, ())) - seen)  # repro: noqa[REP008] -- traversal order cannot change the visited set; only len(seen) is returned
+    return len(seen)

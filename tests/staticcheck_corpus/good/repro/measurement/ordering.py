@@ -1,9 +1,8 @@
 """Good fixture: sanitized order flows REP007/REP008 must not flag.
 
-``checksum`` is the pattern the flow-sensitive REP008 exists for: the
-syntactic REP002 cannot tell an XOR fold from an order leak (hence the
-waiver), but REP008 stays quiet on its own because ``iterorder`` taint
-does not survive commutative accumulation.
+``checksum`` iterates a raw set, yet needs neither ``sorted()`` nor a
+waiver: REP008 stays quiet because ``iterorder`` taint does not survive
+commutative accumulation.
 """
 
 
@@ -20,6 +19,6 @@ def tag_line(tags: set) -> str:
 
 def checksum(values: set) -> int:
     total = 0
-    for value in values:  # repro: noqa[REP002] -- XOR fold is order-insensitive; REP008 agrees by analysis
+    for value in values:
         total ^= value
     return total

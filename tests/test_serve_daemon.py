@@ -321,6 +321,53 @@ def _raw_exchange(host: str, port: int, payload: bytes) -> bytes:
     return b"".join(chunks)
 
 
+_POST_ENDPOINTS = ["/v1/query", "/v1/batch", "/v1/diff"]
+
+_ENVELOPES = st.fixed_dictionaries(
+    {},
+    optional={
+        "store": st.sampled_from(["y2016", "y2020"]) | _JSON_VALUES,
+        "store_a": st.sampled_from(["y2016", "y2020"]) | _JSON_VALUES,
+        "store_b": st.sampled_from(["y2016", "y2020"]) | _JSON_VALUES,
+        "query": st.builds(
+            lambda kind, field, value: {
+                **_VALID_FIELDS, "kind": kind, field: value
+            },
+            st.sampled_from(["top", "site", "dependents", "whatif"]),
+            st.sampled_from(sorted(_VALID_FIELDS)),
+            _JSON_VALUES,
+        ) | _JSON_VALUES,
+        "queries": st.lists(_JSON_VALUES, max_size=3) | _JSON_VALUES,
+    },
+)
+
+#: Raw bytes, arbitrary JSON, near-valid envelopes, and truncated or
+#: corrupted valid ones.
+_BODIES = st.one_of(
+    st.binary(max_size=64),
+    _JSON_VALUES.map(lambda value: json.dumps(value).encode("utf-8")),
+    _ENVELOPES.map(lambda doc: json.dumps(doc).encode("utf-8")),
+    st.builds(
+        lambda doc, cut, junk: json.dumps(doc).encode("utf-8")[:cut] + junk,
+        _ENVELOPES,
+        st.integers(min_value=0, max_value=64),
+        st.binary(max_size=4),
+    ),
+    st.integers(min_value=1, max_value=1500).map(lambda depth: b"[" * depth),
+)
+
+
+def _post_bytes(host: str, port: int, endpoint: str, body: bytes):
+    """POST ``body`` verbatim; (status, parsed JSON response)."""
+    conn = HTTPConnection(host, port, timeout=10)
+    try:
+        conn.request("POST", endpoint, body)
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
 class TestHttpBoundary:
     @pytest.fixture()
     def daemon(self, store_paths):
@@ -369,6 +416,30 @@ class TestHttpBoundary:
             b"Connection: close\r\n\r\nnot json!",
         )
         assert response.startswith(b"HTTP/1.1 400 ")
+
+    def test_non_utf8_body_is_400(self, daemon):
+        status, doc = _post_bytes(*daemon, "/v1/query", b'{"store": "\xff"}')
+        assert status == 400
+        assert doc["error"]["type"] == "bad-request"
+
+    def test_deeply_nested_body_is_400(self, daemon):
+        # Well under max_body, yet past the JSON parser's recursion limit.
+        status, doc = _post_bytes(*daemon, "/v1/batch", b"[" * 2000)
+        assert status == 400
+        assert doc["error"]["type"] == "bad-request"
+
+    def test_fuzzed_bodies_never_answer_internal(self, daemon):
+        """No byte string posted to a query endpoint is a daemon bug:
+        every answer is a payload or a typed error, never ``internal``."""
+
+        @settings(max_examples=150, deadline=None)
+        @given(endpoint=st.sampled_from(_POST_ENDPOINTS), body=_BODIES)
+        def exchange(endpoint, body):
+            status, doc = _post_bytes(*daemon, endpoint, body)
+            assert status != 500, doc
+            assert doc.get("error", {}).get("type") != "internal", doc
+
+        exchange()
 
     def test_unknown_endpoints_are_404(self, daemon):
         host, port = daemon

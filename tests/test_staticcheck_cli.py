@@ -39,7 +39,7 @@ class TestCorpus:
     def test_good_corpus_is_clean_with_suppressions(self, capsys):
         assert main(["lint", GOOD]) == EXIT_CLEAN
         out = capsys.readouterr().out
-        assert "0 finding(s), 2 suppressed" in out
+        assert "0 finding(s), 1 suppressed" in out
 
     def test_json_report_over_bad_corpus(self, capsys):
         assert main(["lint", "--format", "json", BAD]) == EXIT_FINDINGS
@@ -66,7 +66,7 @@ class TestCorpus:
     def test_single_file_paths_work(self, capsys):
         bad_file = str(CORPUS / "bad" / "repro" / "measurement" / "emit.py")
         assert main(["lint", bad_file]) == EXIT_FINDINGS
-        assert "REP002" in capsys.readouterr().out
+        assert "REP008" in capsys.readouterr().out
 
     def test_taint_flow_only_rep007_catches_laundered_wallclock(self, capsys):
         """The acceptance case: ``repro.telemetry.profile`` may read the
@@ -106,7 +106,7 @@ class TestSarif:
         payload = json.loads(capsys.readouterr().out)
         (run,) = payload["runs"]
         suppressed = [r for r in run["results"] if "suppressions" in r]
-        assert len(suppressed) == 2
+        assert len(suppressed) == 1
         for result in suppressed:
             (sup,) = result["suppressions"]
             assert sup["kind"] == "inSource"
@@ -193,6 +193,37 @@ class TestIncrementalCache:
              "json", GOOD]
         ) == EXIT_CLEAN
         payload = json.loads(capsys.readouterr().out)
+        assert payload["reparsed_files"] == payload["files_checked"]
+
+
+    def test_cache_invalidated_by_a_rule_edit(self, capsys, tmp_path, monkeypatch):
+        """The ruleset key is a digest of the linter's source: one byte
+        more in a rule module is a new key, and a cache written under
+        the old key answers nothing."""
+        import shutil
+
+        from repro.staticcheck import cache as lint_cache
+        from repro.staticcheck.rules import ruleset_digest
+
+        copy = tmp_path / "staticcheck"
+        shutil.copytree(
+            Path(lint_cache.__file__).parent, copy,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        assert ruleset_digest(copy) == ruleset_digest()
+        rule = copy / "rules" / "rep008_flow_iteration.py"
+        rule.write_bytes(rule.read_bytes() + b"#")
+        edited = ruleset_digest(copy)
+        assert edited != ruleset_digest()
+
+        cache = str(tmp_path / "cache.json")
+        args = ["lint", "--cache", cache, "--format", "json", GOOD]
+        assert main(args) == EXIT_CLEAN
+        capsys.readouterr()
+        monkeypatch.setattr(lint_cache, "ruleset_digest", lambda: edited)
+        assert main(args) == EXIT_CLEAN
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["cached_files"] == 0
         assert payload["reparsed_files"] == payload["files_checked"]
 
 

@@ -1,4 +1,5 @@
-"""Unit tests for the invariant linter's rule pack (REP001–REP006).
+"""Unit tests for the invariant linter's rule pack (REP001, REP003,
+REP005–REP010).
 
 Each rule gets a bad snippet that must flag, a good snippet that must
 pass, and a noqa-suppression path. The on-disk corpus under
@@ -9,6 +10,8 @@ semantics at the ``lint_source`` level.
 
 import json
 import textwrap
+
+import pytest
 
 from repro.staticcheck import lint_source
 from repro.staticcheck.driver import PARSE_RULE_ID, parse_suppressions
@@ -128,6 +131,9 @@ class TestRep001Determinism:
 
 
 class TestRep002SortedIteration:
+    """Set-iteration inputs once owned by a syntactic rule, now held to
+    REP008 (the class keeps its name so the test ids stay stable)."""
+
     def test_for_loop_over_set_is_flagged(self):
         result = lint(
             """
@@ -136,8 +142,8 @@ class TestRep002SortedIteration:
                 print(name)
             """
         )
-        # The flow-sensitive REP008 confirms the order actually leaks.
-        assert rule_ids_of(result) == ["REP002", "REP008"]
+        assert rule_ids_of(result) == ["REP008"]
+        assert result.findings[0].fix  # the sorted(...) wrap
 
     def test_sorted_wrap_passes(self):
         result = lint(
@@ -156,7 +162,8 @@ class TestRep002SortedIteration:
                 return ",".join(tags) + str(list(tags))
             """
         )
-        assert rule_ids_of(result) == ["REP002", "REP008", "REP002"]
+        # One finding per iteration site: the join, then list(...).
+        assert rule_ids_of(result) == ["REP008", "REP008"]
 
     def test_order_insensitive_consumers_pass(self):
         result = lint(
@@ -174,7 +181,7 @@ class TestRep002SortedIteration:
                 return [item for item in all_items - seen]
             """
         )
-        assert rule_ids_of(result) == ["REP002"]
+        assert rule_ids_of(result) == ["REP008"]
 
     def test_self_attribute_sets_are_tracked_across_methods(self):
         result = lint(
@@ -187,7 +194,7 @@ class TestRep002SortedIteration:
                     return list(self.seen)
             """
         )
-        assert rule_ids_of(result) == ["REP002"]
+        assert rule_ids_of(result) == ["REP008"]
 
     def test_bare_noqa_suppresses_any_rule(self):
         result = lint(
@@ -201,7 +208,7 @@ class TestRep002SortedIteration:
             'names = {"a"}\n'
             "rows = list(names)  # repro: noqa[REP001] -- wrong rule id\n"
         )
-        assert rule_ids_of(result) == ["REP002"]
+        assert rule_ids_of(result) == ["REP008"]
 
 
 class TestRep003Layering:
@@ -257,9 +264,13 @@ class TestRep003Layering:
 
 
 class TestRep004WorkerSafety:
+    """Callable-shape and entry-``global`` inputs once owned by a
+    separate rule, now held to REP009 (the class keeps its name so the
+    test ids stay stable)."""
+
     def test_lambda_submission_is_flagged(self):
         result = lint("list(pool.map(lambda x: x, items))\n")
-        assert rule_ids_of(result) == ["REP004"]
+        assert rule_ids_of(result) == ["REP009"]
         assert "pickle" in result.findings[0].message
 
     def test_nested_function_submission_is_flagged(self):
@@ -271,7 +282,7 @@ class TestRep004WorkerSafety:
                 return pool.map(work, items)
             """
         )
-        assert rule_ids_of(result) == ["REP004"]
+        assert rule_ids_of(result) == ["REP009"]
 
     def test_bound_method_submission_is_flagged(self):
         result = lint(
@@ -280,7 +291,7 @@ class TestRep004WorkerSafety:
                 return pool.imap_unordered(worker.measure, items)
             """
         )
-        assert rule_ids_of(result) == ["REP004"]
+        assert rule_ids_of(result) == ["REP009"]
 
     def test_module_level_function_passes(self):
         result = lint(
@@ -308,7 +319,7 @@ class TestRep004WorkerSafety:
                 return pool.map(work, items)
             """
         )
-        assert rule_ids_of(result) == ["REP004"]
+        assert rule_ids_of(result) == ["REP009"]
         assert "initializer" in result.findings[0].message
 
     def test_initializer_may_rebind_module_state(self):
@@ -565,10 +576,10 @@ class TestDriverMechanics:
     def test_parse_suppressions_reads_rules_and_reason(self):
         directives = parse_suppressions(
             "x = 1\n"
-            "y = 2  # repro: noqa[REP001,REP002] -- because\n"
+            "y = 2  # repro: noqa[REP001,REP008] -- because\n"
             "z = 3  # repro: noqa\n"
         )
-        assert directives[2] == (frozenset({"REP001", "REP002"}), "because")
+        assert directives[2] == (frozenset({"REP001", "REP008"}), "because")
         assert directives[3] == (None, "")
         assert 1 not in directives
 
@@ -579,7 +590,7 @@ class TestDriverMechanics:
         only_rep001 = lint_source(
             source, module="m", config=LintConfig(rules=frozenset({"REP001"}))
         )
-        assert only_rep001.clean  # the REP002 finding is not even computed
+        assert only_rep001.clean  # the REP008 finding is not even computed
 
 
 class TestReporters:
@@ -717,6 +728,16 @@ class TestRep007TaintTracking:
         )
         assert result.clean
 
+    @pytest.mark.parametrize("call", ["pickle.dumps(dict(k=s))", "json.dumps(g(s))"])
+    def test_set_through_a_plain_call_into_serializer(self, call):
+        """An unknown plain call hands back what it is given: a set."""
+        result = lint(
+            "import json\nimport pickle\n\n\n"
+            f"def dump(s: set) -> bytes:\n    return {call}\n",
+            config=only("REP007"),
+        )
+        assert rule_ids_of(result) == ["REP007"]
+
     def test_untainted_serialization_is_clean(self):
         result = lint(
             """
@@ -748,7 +769,7 @@ class TestRep008FlowIteration:
         assert "iterated here" in finding.message
 
     def test_xor_fold_is_clean_without_a_waiver(self):
-        """The FP class behind the REP002 waivers: commutative folds."""
+        """The false-positive class of a syntactic check: commutative folds."""
         result = lint(
             """
             def checksum(names: set) -> int:
@@ -760,6 +781,29 @@ class TestRep008FlowIteration:
             config=only("REP008"),
         )
         assert result.clean
+
+    def test_every_site_reaching_one_sink_is_reported(self):
+        result = lint(
+            """
+            def merge(a: set, b: set) -> list:
+                return list(a) + list(b)
+            """,
+            config=only("REP008"),
+        )
+        assert [(f.line, f.col) for f in result.findings] == [(3, 16), (3, 26)]
+
+    def test_waiving_one_site_does_not_hide_another(self):
+        result = lint(
+            """
+            def merge(a: set, b: set) -> list:
+                x = list(a)  # repro: noqa[REP008] -- test waiver
+                y = list(b)
+                return x + y
+            """,
+            config=only("REP008"),
+        )
+        assert [(f.line, f.col) for f in result.findings] == [(4, 13)]
+        assert len(result.suppressions) == 1
 
     def test_dict_fromkeys_laundering_into_join(self):
         result = lint(
@@ -797,6 +841,135 @@ class TestRep008FlowIteration:
             config=only("REP008"),
         )
         assert result.clean
+
+
+#: (shape, leaking source, its sorted(...) twin). Every leak is one
+#: REP008 finding at the iteration site, carrying the sorted() fix.
+_ORDER_LEAKS = [
+    ("return-list", "def f(s: set):\n    return list(s)\n",
+     "def f(s: set):\n    return list(sorted(s))\n"),
+    ("return-tuple", "def f(s: set):\n    return tuple(s)\n",
+     "def f(s: set):\n    return tuple(sorted(s))\n"),
+    ("return-unpack", "def f(s: set):\n    return [*s]\n",
+     "def f(s: set):\n    return [*sorted(s)]\n"),
+    ("return-fromkeys", "def f(s: set):\n    return dict.fromkeys(s)\n",
+     "def f(s: set):\n    return dict.fromkeys(sorted(s))\n"),
+    ("yield-from", "def f(s: set):\n    yield from s\n",
+     "def f(s: set):\n    yield from sorted(s)\n"),
+    ("yield-in-loop", "def f(s: set):\n    for x in s:\n        yield x\n",
+     "def f(s: set):\n    for x in sorted(s):\n        yield x\n"),
+    ("enumerate", "def f(s: set):\n    return list(enumerate(s))\n",
+     "def f(s: set):\n    return list(enumerate(sorted(s)))\n"),
+    ("set-algebra-comp",
+     "def f(a: set, b: set):\n    return [x for x in a - b]\n",
+     "def f(a: set, b: set):\n    return [x for x in sorted(a - b)]\n"),
+    ("dict-comp", "def f(s: set):\n    return {x: 1 for x in s}\n",
+     "def f(s: set):\n    return {x: 1 for x in sorted(s)}\n"),
+    ("dict-fill",
+     "def f(s: set):\n    d = {}\n    for x in s:\n        d[x] = len(x)\n"
+     "    return d\n",
+     "def f(s: set):\n    d = {}\n    for x in sorted(s):\n"
+     "        d[x] = len(x)\n    return d\n"),
+    ("self-attribute",
+     "class C:\n    def __init__(self):\n        self.seen = set()\n\n"
+     "    def dump(self):\n        return list(self.seen)\n",
+     "class C:\n    def __init__(self):\n        self.seen = set()\n\n"
+     "    def dump(self):\n        return list(sorted(self.seen))\n"),
+    ("extend",
+     "def f(s: set):\n    out = []\n    out.extend(s)\n    return out\n",
+     "def f(s: set):\n    out = []\n    out.extend(sorted(s))\n"
+     "    return out\n"),
+    ("aug-concat",
+     "def f(s: set):\n    acc = ''\n    for x in s:\n        acc += x\n"
+     "    return acc\n",
+     "def f(s: set):\n    acc = ''\n    for x in sorted(s):\n"
+     "        acc += x\n    return acc\n"),
+    ("concat",
+     "def f(s: set):\n    acc = ''\n    for x in s:\n        acc = acc + x\n"
+     "    return acc\n",
+     "def f(s: set):\n    acc = ''\n    for x in sorted(s):\n"
+     "        acc = acc + x\n    return acc\n"),
+    ("aug-extend-by-set",
+     "def f(s: set):\n    acc = []\n    acc += s\n    return acc\n",
+     "def f(s: set):\n    acc = []\n    acc += sorted(s)\n    return acc\n"),
+    ("aug-list",
+     "def f(s: set):\n    acc = []\n    for x in s:\n        acc += [x]\n"
+     "    return acc\n",
+     "def f(s: set):\n    acc = []\n    for x in sorted(s):\n"
+     "        acc += [x]\n    return acc\n"),
+    ("join-map-str", "def f(s: set):\n    return ','.join(map(str, s))\n",
+     "def f(s: set):\n    return ','.join(map(str, sorted(s)))\n"),
+    ("write-str", "def f(fh, s: set):\n    fh.write(str(s))\n",
+     "def f(fh, s: set):\n    fh.write(str(sorted(s)))\n"),
+    ("attribute-across-methods",
+     "class C:\n    def __init__(self, s: set):\n        self.seen = s\n\n"
+     "    def load(self):\n        self.rows = list(self.seen)\n\n"
+     "    def get(self):\n        return self.rows\n",
+     "class C:\n    def __init__(self, s: set):\n        self.seen = s\n\n"
+     "    def load(self):\n        self.rows = list(sorted(self.seen))\n\n"
+     "    def get(self):\n        return self.rows\n"),
+    ("module-binding", "SEEN = {'a', 'b'}\nNAMES = list(SEEN)\n",
+     "SEEN = {'a', 'b'}\nNAMES = list(sorted(SEEN))\n"),
+    ("module-tuple", "NAMES = tuple({'a', 'b'})\n",
+     "NAMES = tuple(sorted({'a', 'b'}))\n"),
+    ("module-dict-fill",
+     "SEEN = {'a'}\nINDEX = {}\nfor x in SEEN:\n    INDEX[x] = 1\n",
+     "SEEN = {'a'}\nINDEX = {}\nfor x in sorted(SEEN):\n    INDEX[x] = 1\n"),
+    ("call-argument", "def f(writer, s: set):\n    writer.writerow(list(s))\n",
+     "def f(writer, s: set):\n    writer.writerow(list(sorted(s)))\n"),
+]
+
+#: Order-insensitive consumers of a raw set: no finding, no waiver.
+_COMMUTATIVE = [
+    ("xor-fold",
+     "def f(s: set):\n    t = 0\n    for x in s:\n        t ^= len(x)\n"
+     "    return t\n"),
+    ("or-fold",
+     "def f(s: set):\n    t = 0\n    for x in s:\n        t |= len(x)\n"
+     "    return t\n"),
+    ("and-fold",
+     "def f(s: set):\n    t = -1\n    for x in s:\n        t &= len(x)\n"
+     "    return t\n"),
+    ("reductions",
+     "def f(s: set):\n"
+     "    return len(s), sum(s), min(s), max(s), any(s), all(s)\n"),
+    ("append-whole-set",
+     "def f(s: set):\n    out = []\n    out.append(s)\n    return out\n"),
+    ("xor-fold-into-attribute",
+     "class C:\n    def f(self, s: set):\n        for x in s:\n"
+     "            self.t ^= len(x)\n"),
+    ("module-sorted", "SEEN = {'a'}\nNAMES = sorted(SEEN)\nN = len(list(SEEN))\n"),
+]
+
+
+class TestRep008OrderShapes:
+    @pytest.mark.parametrize(
+        "source", [leak for _, leak, _ in _ORDER_LEAKS],
+        ids=[shape for shape, _, _ in _ORDER_LEAKS],
+    )
+    def test_leak_is_flagged_at_its_iteration_site(self, source):
+        from repro.staticcheck.fixes import apply_fixes
+
+        result = lint(source, config=only("REP008"))
+        (finding,) = result.findings
+        assert finding.rule_id == "REP008"
+        fixed, count = apply_fixes(textwrap.dedent(source), result.findings)
+        assert count == 1
+        assert lint(fixed, config=only("REP008")).clean
+
+    @pytest.mark.parametrize(
+        "source", [twin for _, _, twin in _ORDER_LEAKS],
+        ids=[shape for shape, _, _ in _ORDER_LEAKS],
+    )
+    def test_sorted_twin_is_clean(self, source):
+        assert lint(source, config=only("REP008")).clean
+
+    @pytest.mark.parametrize(
+        "source", [source for _, source in _COMMUTATIVE],
+        ids=[shape for shape, _ in _COMMUTATIVE],
+    )
+    def test_commutative_consumer_is_clean(self, source):
+        assert lint(source, config=only("REP008")).clean
 
 
 class TestRep009WorkerReachability:

@@ -45,7 +45,7 @@ class TestSelfCheck:
     def test_suppressions_are_rare(self, result):
         # A ratchet, not a style preference: every waiver weakens the
         # determinism contract. Raising this number needs a PR argument.
-        assert len(result.suppressions) <= 3
+        assert len(result.suppressions) <= 2
 
     def test_no_bare_noqa_directives_in_src(self):
         """Every waiver must name the exact rules it silences. A bare
