@@ -13,7 +13,6 @@ import os
 import pytest
 
 from repro import WorldConfig, analyze_world, build_world_pair
-from repro.core import analyze_world as _analyze
 from repro.worldgen import hospital_snapshot, materialize
 from repro.worldgen.world import World
 
@@ -52,4 +51,4 @@ def snapshot_2020(worlds):
 def hospital_snapshot_analyzed(bench_config):
     spec = hospital_snapshot(bench_config, n_hospitals=200)
     world = World(materialize(spec), bench_config)
-    return _analyze(world)
+    return analyze_world(world)

@@ -174,7 +174,7 @@ def test_ablation_capacity_sweep(benchmark, snapshot_2020):
 def test_ablation_vantage_coverage(benchmark, worlds):
     """Single vs multi-vantage measurement: how many (website, CDN) pairs a
     second region reveals (quantifying the paper's §3.5 limitation)."""
-    from repro.measurement.runner import MeasurementCampaign
+    from repro.engine import run_campaign
 
     _, world_2020, _ = worlds
     limit = min(400, len(world_2020.spec.websites))
@@ -187,8 +187,8 @@ def test_ablation_vantage_coverage(benchmark, worlds):
                 for cdn in w.cdn.detected_cdns
             }
 
-        default = pairs(MeasurementCampaign(world_2020, limit=limit).run())
-        cn = pairs(MeasurementCampaign(world_2020, limit=limit, region="cn").run())
+        default = pairs(run_campaign(world=world_2020, limit=limit))
+        cn = pairs(run_campaign(world=world_2020, limit=limit, region="cn"))
         return default, cn
 
     default, cn = benchmark.pedantic(measure, rounds=1, iterations=1)

@@ -26,7 +26,7 @@ import os
 import pytest
 
 from repro import WorldConfig, build_world
-from repro.measurement.runner import MeasurementCampaign
+from repro.engine import run_campaign
 from repro.telemetry import TelemetryConfig
 
 OVERHEAD_N = int(os.environ.get("REPRO_TELEMETRY_BENCH_N", "400"))
@@ -59,8 +59,7 @@ def test_telemetry_overhead(benchmark, variant):
         return (world,), {}
 
     def run(world):
-        campaign = MeasurementCampaign(world, telemetry=_VARIANTS[variant]())
-        return campaign.run()
+        return run_campaign(world=world, telemetry=_VARIANTS[variant]())
 
     dataset = benchmark.pedantic(run, setup=setup, rounds=ROUNDS, iterations=1)
     assert len(dataset.websites) == OVERHEAD_N

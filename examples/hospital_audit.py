@@ -9,8 +9,9 @@ at 7%).
 Run:  python examples/hospital_audit.py
 """
 
+from repro import analyze_world
 from repro.analysis import render_table, table10_hospitals
-from repro.core import ServiceType, analyze_world
+from repro.core import ServiceType
 from repro.worldgen import WorldConfig, hospital_snapshot, materialize
 from repro.worldgen.world import World
 

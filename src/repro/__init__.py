@@ -10,7 +10,8 @@ The library has three layers:
    generated and calibrated by :mod:`repro.worldgen`.
 2. **Measurement** (:mod:`repro.measurement`) — the paper's Section 3
    toolchain (dig, certificate fetching, landing-page crawling,
-   CNAME→CDN mapping), observing the world strictly from a vantage point.
+   CNAME→CDN mapping), observing the world strictly from a vantage point;
+   :func:`repro.run_campaign` (:mod:`repro.engine`) runs a campaign.
 3. **Analysis** (:mod:`repro.core`, :mod:`repro.analysis`,
    :mod:`repro.failures`) — the classification heuristics, the dependency
    graph with the concentration/impact metrics, evolution trends, every
@@ -31,9 +32,9 @@ from repro.core import (
     ProviderType,
     ServiceType,
     analyze_dataset,
-    analyze_world,
 )
-from repro.measurement import Dataset, MeasurementCampaign
+from repro.engine import analyze_world, run_campaign
+from repro.measurement import Dataset
 from repro.worldgen import (
     World,
     WorldConfig,
@@ -47,7 +48,6 @@ __all__ = [
     "AnalyzedSnapshot",
     "Dataset",
     "DependencyGraph",
-    "MeasurementCampaign",
     "ProviderType",
     "ServiceType",
     "World",
@@ -57,4 +57,5 @@ __all__ = [
     "analyze_world",
     "build_world",
     "build_world_pair",
+    "run_campaign",
 ]

@@ -578,12 +578,11 @@ _TABLE_DISPATCH = {
 
 def cmd_table(args) -> int:
     if args.number == 10:
-        from repro.core import analyze_world as analyze
         from repro.worldgen import hospital_snapshot, materialize
         from repro.worldgen.world import World
 
         config = WorldConfig(n_websites=args.n, seed=args.seed)
-        snapshot = analyze(
+        snapshot = analyze_world(
             World(materialize(hospital_snapshot(config, 200)), config)
         )
         print(render_table(table_builders.table10_hospitals(snapshot)))

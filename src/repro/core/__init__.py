@@ -59,7 +59,7 @@ from repro.core.evolution import (
     interservice_ca_dns_trends,
     interservice_cdn_dns_trends,
 )
-from repro.core.pipeline import AnalyzedSnapshot, analyze_dataset, analyze_world
+from repro.core.pipeline import AnalyzedSnapshot, analyze_dataset
 
 __all__ = [
     "AnalyzedSnapshot",
@@ -78,7 +78,6 @@ __all__ = [
     "ServiceType",
     "TrendRow",
     "analyze_dataset",
-    "analyze_world",
     "ca_stapling_trends",
     "cdn_trends",
     "classify_ca",

@@ -2,8 +2,8 @@
 
 ``analyze_dataset`` is pure (no network): it replays the Section 3
 heuristics over a frozen :class:`~repro.measurement.records.Dataset` and
-assembles the dependency graph. ``analyze_world`` runs the measurement
-campaign first.
+assembles the dependency graph. ``repro.engine.analyze_world`` runs the
+measurement campaign first.
 """
 
 from __future__ import annotations
@@ -374,15 +374,3 @@ def dns_display_directory(world: World) -> dict[str, str]:
             directory[base] = provider.display
     return directory
 
-
-def analyze_world(world: World, limit: Optional[int] = None) -> AnalyzedSnapshot:
-    """Measure a world and analyze the result in one step."""
-    from repro.measurement.runner import MeasurementCampaign
-
-    campaign = MeasurementCampaign(world, limit=limit)
-    dataset = campaign.run()
-    return analyze_dataset(
-        dataset,
-        rank_scale=world.config.rank_scale,
-        dns_display_names=dns_display_directory(world),
-    )

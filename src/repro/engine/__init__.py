@@ -17,16 +17,25 @@ A pool worker rebuilds its world from a picklable recipe: the
 ``WorldConfig`` for a campaign, a :class:`TimelineWorldSource` for an
 epoch.
 
+``run_campaign`` runs every snapshot campaign, ``analyze_world``'s
+included, and owns the world's fault injector: installed for the run,
+cleared when the run returns or raises.
+
 The contract is determinism: for a fixed world fingerprint
-(n/seed/year/region/limit), the merged dataset serializes to the exact
-bytes a serial :meth:`MeasurementCampaign.run` produces, for any shard
-count, worker count, or interrupt/resume history.
+(n/seed/year/region/limit), the merged dataset serializes to the
+committed goldens' bytes, at any shard/worker count and any
+interrupt/resume history.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
 
+from repro.core.pipeline import (
+    AnalyzedSnapshot,
+    analyze_dataset,
+    dns_display_directory,
+)
 from repro.engine.checkpoint import CheckpointStore, StaleCheckpointError
 from repro.engine.executor import (
     MultiprocessExecutor,
@@ -76,6 +85,7 @@ __all__ = [
     "TimelineWorldSource",
     "WorldFingerprint",
     "WorldSource",
+    "analyze_world",
     "partition_sites",
     "plan_campaign",
     "run_campaign",
@@ -108,7 +118,8 @@ def run_campaign(
     raising :class:`StaleCheckpointError` on any mismatch. A non-empty
     ``fault_plan`` threads seeded fault injection through every worker's
     world; the plan's digest joins the fingerprint, so a checkpoint from
-    one plan refuses shards measured under another.
+    one plan refuses shards measured under another. Whether the run
+    returns or raises, it leaves ``world`` with no fault injector.
 
     ``telemetry`` installs observability: when its metrics registry is
     on, every shard payload carries the shard's drained (shard-stable)
@@ -131,26 +142,28 @@ def run_campaign(
         world, n_shards=shards, limit=limit, region=region,
         fault_plan=fault_plan,
     )
-    campaign = MeasurementCampaign(
-        world, limit=limit, region=region, fault_plan=fault_plan,
-        telemetry=telemetry,
-    )
     store = (
         checkpoint_dir
         if checkpoint_dir is None or isinstance(checkpoint_dir, CheckpointStore)
         else CheckpointStore(checkpoint_dir)
     )
+    try:
+        campaign = MeasurementCampaign(
+            world, region=region, fault_plan=fault_plan, telemetry=telemetry,
+        )
 
-    # -- persist + measure (closes the plan and measure phases) -----------
-    websites, metrics = execute_plan(
-        campaign, plan, world.config, workers=workers, store=store,
-        resume=resume, stats=stats, progress=progress,
-    )
+        # -- persist + measure (closes the plan and measure phases) -------
+        websites, metrics = execute_plan(
+            campaign, plan, world.config, workers=workers, store=store,
+            resume=resume, stats=stats, progress=progress,
+        )
 
-    # -- merge + inter-service pass ---------------------------------------
-    dataset = Dataset(year=world.year)
-    dataset.websites.extend(websites)
-    campaign.run_interservice(dataset)
+        # -- merge + inter-service pass -----------------------------------
+        dataset = Dataset(year=world.year)
+        dataset.websites.extend(websites)
+        campaign.run_interservice(dataset)
+    finally:
+        world.clear_faults()
     if metrics is not None:
         assert telemetry is not None
         remainder = telemetry.drain_metrics()
@@ -160,3 +173,12 @@ def run_campaign(
     stats.finish_phase("merge", progress)
     progress.on_finish(stats)
     return dataset
+
+
+def analyze_world(world: World, limit: Optional[int] = None) -> AnalyzedSnapshot:
+    """Measure a world through :func:`run_campaign` and analyze it."""
+    return analyze_dataset(
+        run_campaign(world=world, limit=limit),
+        rank_scale=world.config.rank_scale,
+        dns_display_names=dns_display_directory(world),
+    )

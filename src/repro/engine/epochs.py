@@ -117,7 +117,7 @@ def run_timeline(
     for epoch in range(last_needed + 1):
         world = timeline.world(epoch)
         changes = timeline.changes(epoch)
-        campaign = MeasurementCampaign(world, limit=limit)
+        campaign = MeasurementCampaign(world)
         target = ranked_sites(world, limit)
 
         if epoch == 0 or full:

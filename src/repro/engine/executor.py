@@ -89,11 +89,10 @@ class SerialExecutor:
     """In-process backend: shards measured in order through one campaign.
 
     Pass the *same* campaign instance the merger will use: the campaign's
-    SOA memo then spans the measure and inter-service passes exactly as
-    it does in :meth:`MeasurementCampaign.run`, which is what makes the
-    serial engine byte-identical to a direct run (re-querying a name
-    after the measure phase can hit the resolver's negative cache and
-    answer differently than its first touch).
+    SOA memo then spans the measure and inter-service passes, which is
+    what keeps the one-worker engine on the goldens' bytes (re-querying a
+    name after the measure phase can hit the resolver's negative cache
+    and answer differently than its first touch).
     """
 
     def __init__(self, campaign: MeasurementCampaign) -> None:

@@ -57,14 +57,14 @@ class OutageResult:
 
 def _probe_websites(
     world: World,
-    domains: Iterable[str],
+    domains: Optional[Iterable[str]],
     result: OutageResult,
     revocation_policy: RevocationPolicy,
     check_resources: bool,
 ) -> None:
     client = world.vantage(policy=revocation_policy).web_client
     specs = world.spec.website_by_domain()
-    for domain in domains:
+    for domain in specs if domains is None else domains:
         spec = specs.get(domain)
         scheme = "https" if spec is not None and spec.https else "http"
         landing = client.get(f"{scheme}://www.{domain}/")
@@ -119,7 +119,6 @@ def simulate_dns_outage(
 ) -> OutageResult:
     """Take a managed-DNS provider down and probe websites end-to-end."""
     result = OutageResult(provider=provider_key, service="dns")
-    domains = list(domains or (w.domain for w in world.spec.websites))
     world.take_down_dns_provider(provider_key)
     try:
         _probe_websites(
@@ -137,7 +136,6 @@ def simulate_cdn_outage(
 ) -> OutageResult:
     """Take a CDN's edges down; resource losses mark websites degraded."""
     result = OutageResult(provider=cdn_key, service="cdn")
-    domains = list(domains or (w.domain for w in world.spec.websites))
     world.take_down_cdn(cdn_key)
     try:
         _probe_websites(
@@ -159,7 +157,6 @@ def simulate_ca_outage(
     lose HTTPS for hard-fail users.
     """
     result = OutageResult(provider=ca_key, service="ca")
-    domains = list(domains or (w.domain for w in world.spec.websites))
     world.take_down_ca(ca_key)
     try:
         _probe_websites(

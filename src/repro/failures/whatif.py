@@ -9,12 +9,12 @@ query before making business decisions" the paper envisions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.core.graph import ProviderNode
 from repro.core.pipeline import AnalyzedSnapshot
 from repro.failures.outage import simulate_dns_outage
 from repro.faults.plan import FaultPlan, FaultRule
+from repro.measurement.records import Dataset
 from repro.worldgen.world import World
 
 
@@ -203,40 +203,22 @@ class OutageValidationReport:
 
 
 def validate_outage_prediction(
-    world: World,
-    provider_key: str,
-    limit: Optional[int] = None,
-    seed: int = 0,
+    world: World, provider_key: str, measured: Dataset
 ) -> OutageValidationReport:
     """Check a provider-outage prediction against injected-fault reality.
 
-    Measures ``world`` under the outage fault plan (the campaign's own
-    cold vantage carries no pre-outage answers), then compares the set of
-    domains the campaign found unresolvable with the set
+    ``measured`` is ``repro.engine.run_campaign`` over ``world`` under
+    :func:`outage_fault_plan`. Over exactly its websites, compares the
+    domains it found unresolvable with the ones
     :func:`simulate_dns_outage` predicts unreachable.
     """
-    from repro.measurement.runner import MeasurementCampaign
-
-    domains: Optional[list[str]] = None
-    if limit is not None:
-        ranked = sorted(world.spec.websites, key=lambda w: w.rank)[:limit]
-        domains = [w.domain for w in ranked]
+    domains = [w.domain for w in measured.websites]
     predicted = simulate_dns_outage(
         world, provider_key, domains=domains, check_resources=False
     )
-
-    try:
-        dataset = MeasurementCampaign(
-            world,
-            limit=limit,
-            fault_plan=outage_fault_plan(world, provider_key, seed=seed),
-        ).run()
-    finally:
-        world.clear_faults()
-
     predicted_down = set(predicted.unreachable)
     measured_down = {
-        w.domain for w in dataset.websites if not w.dns.resolvable
+        w.domain for w in measured.websites if not w.dns.resolvable
     }
     return OutageValidationReport(
         provider_key=provider_key,

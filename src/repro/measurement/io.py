@@ -26,10 +26,11 @@ Format history:
 Readers accept any historical version and upgrade it in memory, one
 version step at a time; a version they cannot read (newer, missing,
 malformed) raises :class:`WireVersionError` naming both the found and
-supported versions, and any other malformed payload raises
+supported versions, and any other malformed payload (deeply nested JSON
+and a shard ``metrics`` that is no registry included) raises
 :class:`DatasetFormatError` (its base class) instead of a bare
-``KeyError``/``TypeError``. Writers always emit the current version,
-as the text of ``json.dumps(..., indent=1)`` produced by
+``KeyError``/``TypeError``/``RecursionError``. Writers always emit the
+current version, as the text of ``json.dumps(..., indent=1)`` produced by
 :func:`~repro.measurement.jsonwriter.write_json`.
 """
 
@@ -40,6 +41,7 @@ from typing import Any, Optional
 
 from repro.measurement.jsonwriter import write_json
 from repro.measurement.records import Dataset, WebsiteMeasurement
+from repro.telemetry.metrics import MetricsRegistry
 
 FORMAT_VERSION = 3
 SHARD_FORMAT_VERSION = 4
@@ -66,6 +68,8 @@ def _load_object(text: str, kind: str) -> dict[str, Any]:
         payload = json.loads(text)
     except ValueError as exc:
         raise DatasetFormatError(f"{kind} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DatasetFormatError(f"{kind} nests too deeply") from exc
     if not isinstance(payload, dict):
         raise DatasetFormatError(
             f"{kind} must be a JSON object, not {type(payload).__name__}"
@@ -298,9 +302,12 @@ def shard_payload_from_json(
         if version == 2:
             entries = [_website_v2_to_v3(entry) for entry in entries]
         websites = [WebsiteMeasurement.from_dict(entry) for entry in entries]
+        metrics = payload.get("metrics")
+        if metrics is not None:  # refuse it here, not in the resume merge
+            MetricsRegistry.from_dict(metrics)
     except _MALFORMED as exc:
         raise _malformed("shard", exc) from exc
-    return websites, payload.get("metrics")
+    return websites, metrics
 
 
 def shard_from_json(text: str) -> list[WebsiteMeasurement]:

@@ -1,4 +1,5 @@
-"""The measurement campaign: everything Section 3 does, end to end.
+"""The measurement campaign: everything Section 3 observes, per site and
+per provider. :func:`repro.engine.run_campaign` drives it end to end.
 
 Inputs are public knowledge only: the ranked website list, and the set of
 companies that advertise CDN service (the CNAME-to-CDN map). Everything
@@ -56,7 +57,9 @@ def ranked_sites(
 
 
 class MeasurementCampaign:
-    """Runs the full Section 3 pipeline against one world.
+    """The Section 3 measurers bound to one world: :meth:`measure_site`
+    per site, then :meth:`run_interservice`. Only
+    :func:`repro.engine.run_campaign` runs a whole campaign.
 
     Every campaign measures through its own cold vantage, so measuring
     one world twice gives the bytes of measuring two fresh worlds.
@@ -67,13 +70,11 @@ class MeasurementCampaign:
     def __init__(
         self,
         world: World,
-        limit: Optional[int] = None,
         region: Optional[str] = None,
         fault_plan: Optional[FaultPlan] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         self._world = world
-        self._limit = limit
         self.region = region
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
         # None when the plan is empty: every layer keeps its fault-free
@@ -107,10 +108,6 @@ class MeasurementCampaign:
         self._tls = TlsMeasurer()
         self._cdn = CdnMeasurer(dig, self.cdn_map, self._dns.soa_identity)
         self._inter = InterServiceMeasurer(dig, self._dns, self.cdn_map)
-
-    @property
-    def world(self) -> World:
-        return self._world
 
     def ca_name_for_endpoint(self, host: str) -> str:
         """The CA operating a revocation endpoint (by its base domain)."""
@@ -183,8 +180,8 @@ class MeasurementCampaign:
         self, websites: Sequence[WebsiteMeasurement]
     ) -> tuple[set[str], dict[str, list[str]]]:
         """The provider sets the inter-service pass measures, recomputed
-        from website measurements (so merged shards and a serial loop see
-        the identical encounter order)."""
+        from website measurements (so every shard count sees the
+        identical encounter order)."""
         observed_cdns: set[str] = set()
         # CA display name -> observed revocation endpoint hosts.
         observed_cas: dict[str, list[str]] = {}
@@ -197,21 +194,13 @@ class MeasurementCampaign:
                     hosts.append(host)
         return observed_cdns, observed_cas
 
-    def run(self) -> Dataset:
-        """Measure every website, then the observed providers."""
-        dataset = Dataset(year=self._world.year)
-        for domain, rank in ranked_sites(self._world, self._limit):
-            dataset.websites.append(self.measure_site(domain, rank))
-        self.run_interservice(dataset)
-        return dataset
-
     def run_interservice(self, dataset: Dataset) -> Dataset:
         """The separable second pass: measure the observed providers.
 
         Fills ``cdn_dns``/``ca_dns``/``ca_cdn`` and the campaign notes
         from ``dataset.websites`` alone, so it produces identical output
-        whether the websites were measured serially or merged from
-        shards.
+        whether the websites came from one shard or were merged from
+        many.
         """
         tel = self.telemetry
         span = (

@@ -452,17 +452,29 @@ class TaintAnalysis:
         fact: TaintEnv,
     ) -> None:
         """``acc[k] = v`` with a set-ordered key or value leaves ``acc``
-        (a dict's insertion order, a list's slot contents) order-tainted."""
+        (a dict's insertion order, a list's slot contents) order-tainted,
+        and a wall-clock or entropy key or value taints ``acc`` with it."""
         key = env_key(target.value)
-        if key is None or not self.spec.track_order:
+        if key is None:
             return
         stored = _join_taint(self.taint_of(target.slice, fact), taint)
-        witness = stored.get("iterorder") or stored.get("order")
-        if witness is not None:
-            env[key] = _join_taint(
-                env.get(key, {}),
-                {"order": _extend(witness, stmt, f"{key}[...] = ...")},
-            )
+        self._store_into(env, key, stored, stmt, f"{key}[...] = ...")
+
+    def _store_into(
+        self, env: TaintEnv, key: str, stored: Taint, node: _Located, hop: str
+    ) -> None:
+        """Taint container ``key`` with what was stored into it: value
+        labels as they are, set-derived positions as ``order``."""
+        inherited: Taint = {
+            label: _extend(witness, node, hop)
+            for label, witness in stored.items()
+            if label in VALUE_LABELS
+        }
+        position = stored.get("iterorder") or stored.get("order")
+        if position is not None and self.spec.track_order:
+            inherited["order"] = _extend(position, node, hop)
+        if inherited:
+            env[key] = _join_taint(env.get(key, {}), inherited)
 
     def _bind_loop_target(
         self, env: TaintEnv, stmt: ast.For | ast.AsyncFor, fact: TaintEnv
@@ -488,35 +500,34 @@ class TaintAnalysis:
         """``acc.append(x)`` with order-positional ``x`` — or
         ``acc.extend(xs)``, which iterates ``xs`` — makes ``acc`` an
         order-tainted container. Appending a whole set object does not:
-        the container's own order is unaffected."""
+        the container's own order is unaffected. A wall-clock or entropy
+        value appended, extended or ``acc.update(...)``-ed in taints
+        ``acc`` with it."""
         if not (
             isinstance(expr, ast.Call)
             and isinstance(expr.func, ast.Attribute)
-            and expr.args
         ):
             return
         method = expr.func.attr
         receiver = env_key(expr.func.value)
         if receiver is None:
             return
-        arg = expr.args[-1]  # insert(i, x) carries the value last
-        taint = self.taint_of(arg, fact)
-        if method in EXTEND_METHODS:
-            taint = self._materialize(taint, arg, f"{receiver}.{method}(...)")
-        elif method not in APPEND_METHODS:
+        hop = f"{receiver}.{method}(...)"
+        if method == "update":
+            # ``d.update(...)`` carries value labels only.
+            taint: Taint = {}
+            for value in [*expr.args, *(k.value for k in expr.keywords)]:
+                taint = _join_taint(taint, self.taint_of(value, fact))
+            taint = _drop(taint, ORDER_LABELS)
+        elif expr.args and method in EXTEND_METHODS:
+            arg = expr.args[-1]
+            taint = self._materialize(self.taint_of(arg, fact), arg, hop)
+        elif expr.args and method in APPEND_METHODS:
+            # insert(i, x) carries the value last.
+            taint = self.taint_of(expr.args[-1], fact)
+        else:
             return
-        inherited: Taint = {}
-        for label, witness in taint.items():
-            if label in VALUE_LABELS:
-                inherited[label] = _extend(
-                    witness, expr, f"{receiver}.{method}(...)"
-                )
-            elif label in POSITION_LABELS and self.spec.track_order:
-                inherited["order"] = _extend(
-                    witness, expr, f"{receiver}.{method}(...)"
-                )
-        if inherited:
-            env[receiver] = _join_taint(env.get(receiver, {}), inherited)
+        self._store_into(env, receiver, taint, expr, hop)
 
     # -- iteration sites -----------------------------------------------
 

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro import analyze_world
 from repro.analysis import table10_hospitals, table11_smart_home
-from repro.core import analyze_world
 from repro.worldgen import WorldConfig, hospital_snapshot, materialize
 from repro.worldgen.case_studies import smart_home_companies
 from repro.worldgen.spec import PRIVATE

@@ -1,9 +1,10 @@
 """Tests for the campaign-execution engine (repro.engine).
 
 The core guarantee under test: for a fixed world fingerprint, the
-engine's merged dataset serializes to the *exact bytes* of a direct
-serial :meth:`MeasurementCampaign.run`, for any shard count, worker
-count, or interrupt/resume history. ``REPRO_ENGINE_WORKERS`` (default
+engine's merged dataset serializes to the *exact bytes* of the
+committed goldens, at any shard/worker count (``test_golden_corpus``
+pins those bytes; here one-shard, one-worker runs are the reference)
+and any interrupt/resume history. ``REPRO_ENGINE_WORKERS`` (default
 2) sets the parallel worker count so CI can push it higher.
 """
 
@@ -15,6 +16,7 @@ import os
 import pytest
 
 from repro import WorldConfig, build_world
+from repro.dnssim.records import RRType
 from repro.engine import (
     CampaignStats,
     CheckpointStore,
@@ -25,9 +27,9 @@ from repro.engine import (
     plan_campaign,
     run_campaign,
 )
+from repro.failures import outage_fault_plan
 from repro.faults import FaultPlan, FaultRule
 from repro.measurement.io import dataset_from_json, dataset_to_json
-from repro.measurement.runner import MeasurementCampaign
 
 ENGINE_N = 240
 ENGINE_SEED = 7
@@ -41,14 +43,16 @@ def engine_config() -> WorldConfig:
 
 @pytest.fixture(scope="module")
 def engine_world(engine_config):
-    """One world for every direct serial campaign in this module."""
+    """One prebuilt world for every reference campaign in this module."""
     return build_world(engine_config)
 
 
 @pytest.fixture(scope="module")
 def serial_json(engine_world) -> str:
-    """The ground truth: a direct serial campaign, serialized."""
-    return dataset_to_json(MeasurementCampaign(engine_world).run())
+    """The reference: one shard on one worker over a prebuilt world."""
+    return dataset_to_json(
+        run_campaign(world=engine_world, shards=1, workers=1)
+    )
 
 
 class TestPlanning:
@@ -120,7 +124,7 @@ class TestEquivalence:
         assert dataset_to_json(result) == serial_json
 
     def test_limit_and_shards(self, engine_config, engine_world):
-        direct = MeasurementCampaign(engine_world, limit=40).run()
+        direct = run_campaign(world=engine_world, limit=40)
         sharded = run_campaign(engine_config, shards=5, workers=1, limit=40)
         assert dataset_to_json(sharded) == dataset_to_json(direct)
 
@@ -313,8 +317,10 @@ class TestChaosDeterminism:
 
     @pytest.fixture(scope="class")
     def chaos_json(self, engine_config) -> str:
-        world = build_world(engine_config)
-        dataset = MeasurementCampaign(world, fault_plan=_chaos_plan()).run()
+        dataset = run_campaign(
+            world=build_world(engine_config), shards=1, workers=1,
+            fault_plan=_chaos_plan(),
+        )
         return dataset_to_json(dataset)
 
     def test_chaos_campaign_completes_with_degraded_records(self, chaos_json):
@@ -393,6 +399,56 @@ class TestChaosDeterminism:
         assert plain.fingerprint.fault_digest is None
         assert faulted.fingerprint.fault_digest == _chaos_plan().digest()
         assert "faults=" in faulted.fingerprint.describe()
+
+
+def _dyn_only_site(world) -> str:
+    """A site whose only nameservers are Dyn's: unresolvable while the
+    Dyn outage plan is installed."""
+    ranked = sorted(world.spec.websites, key=lambda w: w.rank)
+    return next(w.domain for w in ranked if w.dns.providers == ["dyn"])
+
+
+class TestFaultLifecycle:
+    """``run_campaign`` owns the world's fault injector: after the run
+    returns or is interrupted, the caller's world answers exactly as a
+    freshly built one does."""
+
+    @pytest.fixture(scope="class")
+    def fresh_answer(self, engine_config):
+        world = build_world(engine_config)
+        return world.vantage().resolver.lookup(
+            _dyn_only_site(world), RRType.A
+        )
+
+    def _assert_fault_free(self, world, fresh_answer) -> None:
+        assert world.fault_injector is None
+        answer = world.vantage().resolver.lookup(
+            _dyn_only_site(world), RRType.A
+        )
+        assert answer == fresh_answer
+        assert answer.records
+
+    def test_finished_run_clears_its_injector(
+        self, engine_config, fresh_answer
+    ):
+        world = build_world(engine_config)
+        run_campaign(
+            world=world, limit=20,
+            fault_plan=outage_fault_plan(world, "dyn"),
+        )
+        self._assert_fault_free(world, fresh_answer)
+
+    def test_interrupted_run_clears_its_injector(
+        self, engine_config, fresh_answer
+    ):
+        world = build_world(engine_config)
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(
+                world=world, shards=4, workers=1, limit=20,
+                progress=_AbortAfter(1),
+                fault_plan=outage_fault_plan(world, "dyn"),
+            )
+        self._assert_fault_free(world, fresh_answer)
 
 
 def _metrics_telemetry():

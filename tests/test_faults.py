@@ -31,8 +31,8 @@ from repro.faults import (
     TLS_FAULT_KINDS,
     WEB_FAULT_KINDS,
 )
+from repro.engine import run_campaign
 from repro.measurement.io import dataset_to_json
-from repro.measurement.runner import MeasurementCampaign
 
 FAULTS_N = 120
 FAULTS_SEED = 5
@@ -456,10 +456,8 @@ class TestFaultedCampaigns:
     def test_empty_plan_output_is_byte_identical(self, world):
         # Running under an *empty* plan is the plan-less pipeline, bit for
         # bit.
-        plain = MeasurementCampaign(world, limit=30).run()
-        empty = MeasurementCampaign(
-            world, limit=30, fault_plan=FaultPlan()
-        ).run()
+        plain = run_campaign(world=world, limit=30)
+        empty = run_campaign(world=world, limit=30, fault_plan=FaultPlan())
         assert dataset_to_json(empty) == dataset_to_json(plain)
 
     def test_faulted_campaign_replays_byte_identically(self, world):
@@ -472,8 +470,8 @@ class TestFaultedCampaigns:
             ),
             seed=21,
         )
-        first = MeasurementCampaign(world, limit=30, fault_plan=plan).run()
-        second = MeasurementCampaign(world, limit=30, fault_plan=plan).run()
+        first = run_campaign(world=world, limit=30, fault_plan=plan)
+        second = run_campaign(world=world, limit=30, fault_plan=plan)
         assert dataset_to_json(first) == dataset_to_json(second)
 
     def test_rank_window_degrades_exactly_the_windowed_sites(self, world):
@@ -483,7 +481,7 @@ class TestFaultedCampaigns:
                           status=502, rank_window=(1, 5)),
             )
         )
-        dataset = MeasurementCampaign(world, limit=30, fault_plan=plan).run()
+        dataset = run_campaign(world=world, limit=30, fault_plan=plan)
         assert len(dataset.websites) == 30
         for website in dataset.websites:
             if website.rank <= 5:
@@ -495,9 +493,26 @@ class TestFaultedCampaigns:
                 assert website.tls.failure_mode == ""
 
     def test_outage_prediction_matches_injected_reality(self, world):
-        from repro.failures import validate_outage_prediction
+        from repro.failures import outage_fault_plan, validate_outage_prediction
 
-        report = validate_outage_prediction(world, "dyn")
+        measured = run_campaign(
+            world=world, fault_plan=outage_fault_plan(world, "dyn")
+        )
+        report = validate_outage_prediction(world, "dyn", measured)
         assert report.predicted, "the dyn provider should have customers"
         assert report.consistent
         assert report.agreement_rate() == 1.0
+
+    @pytest.mark.parametrize("limit", [0, 30])
+    def test_outage_prediction_covers_exactly_the_measured_sites(
+        self, world, limit
+    ):
+        from repro.failures import outage_fault_plan, validate_outage_prediction
+
+        measured = run_campaign(
+            world=world, limit=limit,
+            fault_plan=outage_fault_plan(world, "dyn"),
+        )
+        report = validate_outage_prediction(world, "dyn", measured)
+        assert set(report.predicted) <= {w.domain for w in measured.websites}
+        assert report.consistent

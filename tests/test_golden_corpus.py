@@ -6,30 +6,40 @@ world generator, the resolver, the measurers, the fault draws, or the
 wire format shows up here as a byte diff before it shows up as a silent
 change in paper numbers.
 
+The goldens are also the engine's oracle: ``run_campaign`` must
+reproduce both dataset goldens at one shard on one worker, at five
+shards on one worker, and at five shards on ``REPRO_ENGINE_WORKERS``
+(default 2) workers.
+
 When a change intentionally alters the output (e.g. a new wire field),
 regenerate with::
 
     pytest tests/test_golden_corpus.py --regen-goldens
 
-and commit the updated goldens alongside the change.
+and commit the updated goldens alongside the change. Only the
+one-shard, one-worker campaigns write goldens; the sharded cases are
+always compared.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
-from repro import WorldConfig, build_world
+from repro import WorldConfig
+from repro.engine import run_campaign
 from repro.faults import FaultPlan, FaultRule
 from repro.measurement.io import dataset_from_json, dataset_to_json
-from repro.measurement.runner import MeasurementCampaign
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 GOLDEN_N = 120
 GOLDEN_SEED = 17
 GOLDEN_LIMIT = 25
+WORKERS = int(os.environ.get("REPRO_ENGINE_WORKERS", "2"))
 
 
 def canonical_chaos_plan() -> FaultPlan:
@@ -73,6 +83,19 @@ def _check_golden(name: str, produced: str, regen: bool) -> None:
     )
 
 
+def _campaign_json(
+    config: WorldConfig,
+    shards: int = 1,
+    workers: int = 1,
+    fault_plan: Optional[FaultPlan] = None,
+) -> str:
+    dataset = run_campaign(
+        config, shards=shards, workers=workers, limit=GOLDEN_LIMIT,
+        fault_plan=fault_plan,
+    )
+    return dataset_to_json(dataset) + "\n"
+
+
 class TestGoldenCorpus:
     def test_chaos_plan_matches_golden(self, regen_goldens):
         _check_golden(
@@ -84,24 +107,29 @@ class TestGoldenCorpus:
     def test_zero_fault_campaign_matches_golden(
         self, golden_config, regen_goldens
     ):
-        dataset = MeasurementCampaign(
-            build_world(golden_config), limit=GOLDEN_LIMIT
-        ).run()
         _check_golden(
-            "dataset_nofault.json", dataset_to_json(dataset) + "\n",
+            "dataset_nofault.json", _campaign_json(golden_config),
             regen_goldens,
         )
 
     def test_chaos_campaign_matches_golden(self, golden_config, regen_goldens):
-        dataset = MeasurementCampaign(
-            build_world(golden_config),
-            limit=GOLDEN_LIMIT,
-            fault_plan=canonical_chaos_plan(),
-        ).run()
         _check_golden(
-            "dataset_chaos.json", dataset_to_json(dataset) + "\n",
+            "dataset_chaos.json",
+            _campaign_json(golden_config, fault_plan=canonical_chaos_plan()),
             regen_goldens,
         )
+
+    @pytest.mark.parametrize("shards,workers", [(5, 1), (5, WORKERS)])
+    @pytest.mark.parametrize("chaos", [False, True], ids=["nofault", "chaos"])
+    def test_sharded_campaigns_match_goldens(
+        self, golden_config, shards, workers, chaos
+    ):
+        name = "dataset_chaos.json" if chaos else "dataset_nofault.json"
+        produced = _campaign_json(
+            golden_config, shards, workers,
+            canonical_chaos_plan() if chaos else None,
+        )
+        _check_golden(name, produced, regen=False)
 
     def test_chaos_trace_matches_golden(self, golden_config, regen_goldens):
         """The deep trace of twitter.com (the Dyn-customer corner case)
@@ -112,12 +140,12 @@ class TestGoldenCorpus:
         telemetry = TelemetryConfig(
             metrics=False, trace=True, trace_sites=("twitter.com",)
         ).build()
-        MeasurementCampaign(
-            build_world(golden_config),
+        run_campaign(
+            golden_config,
             limit=GOLDEN_LIMIT,
             fault_plan=canonical_chaos_plan(),
             telemetry=telemetry,
-        ).run()
+        )
         _check_golden(
             "trace_twitter_chaos.json",
             chrome_trace(telemetry.tracer.drain(),

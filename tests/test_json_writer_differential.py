@@ -29,6 +29,7 @@ from repro.cascade import (
     trajectory_to_json,
 )
 from repro.core import analyze_dataset
+from repro.engine import run_campaign
 from repro.measurement.io import (
     FORMAT_VERSION,
     SHARD_FORMAT_VERSION,
@@ -191,13 +192,13 @@ def reference_canonical(obj: Any) -> Any:
 def artifacts() -> dict[str, Any]:
     world = build_world(WorldConfig(n_websites=ARTIFACT_N, seed=ARTIFACT_SEED))
     telemetry = TelemetryConfig(metrics=True).build()
-    campaign = MeasurementCampaign(world, limit=20, telemetry=telemetry)
+    campaign = MeasurementCampaign(world, telemetry=telemetry)
     websites = [
         campaign.measure_site(domain, rank)
         for domain, rank in ranked_sites(world, limit=20)
     ]
     metrics = telemetry.drain_metrics()
-    dataset = MeasurementCampaign(world).run()
+    dataset = run_campaign(world=world)
     snapshot = analyze_dataset(dataset)
     text = dataset_to_json(dataset)
     engine = QueryEngine(StoreReader.from_bytes(compile_dataset_text(text)))

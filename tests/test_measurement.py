@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine import run_campaign
 from repro.measurement.cdn_map import CnameToCdnMap
 from repro.measurement.cdn_measurer import is_internal_resource
 from repro.measurement.records import SoaIdentity
@@ -96,8 +97,7 @@ class TestCampaign:
         assert dataset.notes["cdns_observed"] == len(dataset.cdn_dns)
 
     def test_limit(self, world_2020):
-        campaign = MeasurementCampaign(world_2020, limit=25)
-        dataset = campaign.run()
+        dataset = run_campaign(world=world_2020, limit=25)
         assert len(dataset.websites) == 25
         assert dataset.top(10)[-1].rank <= 10
 
@@ -124,6 +124,6 @@ class TestCampaign:
                 assert ns in obs.nameserver_soas, (name, ns)
 
     def test_ca_directory_resolution(self, world_2020):
-        campaign = MeasurementCampaign(world_2020, limit=1)
+        campaign = MeasurementCampaign(world_2020)
         assert campaign.ca_name_for_endpoint("ocsp.digicert.com") == "DigiCert"
         assert campaign.ca_name_for_endpoint("ocsp.nobody.example") == "nobody.example"

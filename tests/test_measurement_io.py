@@ -1,8 +1,11 @@
 """Tests for dataset JSON serialization (measure once, analyze offline)."""
 
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import analyze_dataset
 from repro.measurement.io import (
@@ -21,6 +24,7 @@ from repro.measurement.io import (
     upgrade_dataset_payload,
 )
 from repro.measurement.records import Dataset
+from repro.telemetry.metrics import MetricsRegistry
 
 
 class TestRoundtrip:
@@ -242,6 +246,17 @@ class TestMalformedPayloads:
             f'{{"shard_format_version": {SHARD_FORMAT_VERSION}, "websites": [1, 2]}}',
             f'{{"shard_format_version": {SHARD_FORMAT_VERSION}, "websites": [[]]}}',
             '{"shard_format_version": 1, "websites": [{"domain": "a.com"}]}',
+            # A shard's metrics must be a registry the resume merge can fold.
+            *(
+                f'{{"shard_format_version": {SHARD_FORMAT_VERSION}, '
+                f'"websites": [], "metrics": {metrics}}}'
+                for metrics in (
+                    '"junk"',
+                    "[]",
+                    '{"counters": {"sites": "many"}}',
+                    '{"histograms": {"ms": {"bounds": [1], "counts": [1]}}}',
+                )
+            ),
         ],
     )
     def test_shard(self, text):
@@ -343,3 +358,131 @@ class TestShardRoundtrip:
 
     def test_empty_shard(self):
         assert shard_from_json(shard_to_json([])) == []
+
+
+DEEP = 200_000
+DECODERS = pytest.mark.parametrize(
+    "decode", [dataset_from_json, shard_payload_from_json],
+    ids=["dataset", "shard"],
+)
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * DEEP,
+            '{"format_version": 3, "year": 2020, "websites": '
+            + "[" * DEEP + "]" * DEEP + "}",
+        ],
+        ids=["top-level", "under-websites"],
+    )
+    @DECODERS
+    def test_deep_nesting_is_a_format_error(self, decode, text):
+        with pytest.raises(DatasetFormatError, match="nests too deeply"):
+            decode(text)
+
+
+def _paths(node, prefix=()):
+    """Every path into a decoded JSON tree, the root included."""
+    yield prefix
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for index, value in enumerate(node):
+            yield from _paths(value, prefix + (index,))
+
+
+def _swap(payload, path, replacement):
+    if not path:
+        return replacement
+    node = payload
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = replacement
+    return payload
+
+
+_REPLACEMENTS = [None, True, 0, -1, 1.5, 1e308, "", "x", [], [None], {}, {"k": 1}]
+
+
+@pytest.fixture(scope="module")
+def fuzz_seeds(tmp_path_factory) -> dict:
+    """A committed golden dataset and a real checkpoint shard with
+    metrics, from a small engine run."""
+    from repro import WorldConfig
+    from repro.engine import run_campaign
+    from repro.telemetry import TelemetryConfig
+
+    ckpt = tmp_path_factory.mktemp("fuzz") / "ckpt"
+    run_campaign(
+        WorldConfig(n_websites=120, seed=17), shards=2, limit=6,
+        checkpoint_dir=str(ckpt),
+        telemetry=TelemetryConfig(metrics=True).build(),
+    )
+    golden = Path(__file__).parent / "goldens" / "dataset_nofault.json"
+    return {
+        dataset_from_json: golden.read_text(encoding="utf-8"),
+        shard_payload_from_json: (ckpt / "shard-0000.json").read_text(
+            encoding="utf-8"
+        ),
+    }
+
+
+def _decode_or_refuse(decode, text: str) -> None:
+    """Only DatasetFormatError may escape; an accepted shard's metrics
+    must fold into a registry the way a resume merge folds them."""
+    try:
+        result = decode(text)
+    except DatasetFormatError:
+        return
+    if decode is shard_payload_from_json and result[1] is not None:
+        MetricsRegistry().merge_dict(result[1])
+
+
+class TestDecoderFuzz:
+    """Byte-level fuzz of both decoders, seeded with real payloads."""
+
+    @DECODERS
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_byte_flips(self, fuzz_seeds, decode, data):
+        raw = bytearray(fuzz_seeds[decode].encode("utf-8"))
+        flips = data.draw(st.lists(
+            st.tuples(
+                st.integers(0, len(raw) - 1), st.integers(1, 255)
+            ),
+            min_size=1, max_size=8,
+        ))
+        for position, mask in flips:
+            raw[position] ^= mask
+        _decode_or_refuse(decode, raw.decode("utf-8", errors="replace"))
+
+    @DECODERS
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_truncations(self, fuzz_seeds, decode, data):
+        text = fuzz_seeds[decode]
+        cut = data.draw(st.integers(0, len(text) - 1))
+        _decode_or_refuse(decode, text[:cut])
+
+    @DECODERS
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_type_swaps(self, fuzz_seeds, decode, data):
+        payload = json.loads(fuzz_seeds[decode])
+        paths = list(_paths(payload))
+        swaps = data.draw(st.lists(
+            st.tuples(
+                st.integers(0, len(paths) - 1),
+                st.sampled_from(_REPLACEMENTS),
+            ),
+            min_size=1, max_size=3,
+        ))
+        for index, replacement in swaps:
+            try:
+                payload = _swap(payload, paths[index], replacement)
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier swap removed this path
+        _decode_or_refuse(decode, json.dumps(payload))

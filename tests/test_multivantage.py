@@ -4,7 +4,7 @@ import pytest
 
 from repro.dnssim.records import ARecord, CNAMERecord, RRType, SOARecord
 from repro.dnssim.zone import LookupKind, Zone
-from repro.measurement.runner import MeasurementCampaign
+from repro.engine import run_campaign
 
 
 class TestZoneRegionalRecords:
@@ -89,8 +89,8 @@ class TestMultiVantageCampaign:
             if w.domain in regional_sites
         )
         limit = min(limit, len(world_2020.spec.websites))
-        default = MeasurementCampaign(world_2020, limit=limit).run()
-        cn = MeasurementCampaign(world_2020, limit=limit, region="cn").run()
+        default = run_campaign(world=world_2020, limit=limit)
+        cn = run_campaign(world=world_2020, limit=limit, region="cn")
 
         def pairs(dataset):
             return {
@@ -106,8 +106,8 @@ class TestMultiVantageCampaign:
         )
 
     def test_union_dominates_single_vantage(self, world_2020):
-        default = MeasurementCampaign(world_2020, limit=80).run()
-        cn = MeasurementCampaign(world_2020, limit=80, region="cn").run()
+        default = run_campaign(world=world_2020, limit=80)
+        cn = run_campaign(world=world_2020, limit=80, region="cn")
 
         def pairs(dataset):
             return {

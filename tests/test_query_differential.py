@@ -28,7 +28,6 @@ from repro.core.graph import ProviderNode
 from repro.engine import run_campaign
 from repro.failures import predicted_dns_victims, website_exposure
 from repro.measurement.io import dataset_from_json, dataset_to_json
-from repro.measurement.runner import MeasurementCampaign
 from repro.query import QueryEngine, QueryError, payload_to_json
 from repro.store import StoreReader, compile_dataset_text
 from repro.worldgen.config import PAPER_POPULATION
@@ -187,7 +186,7 @@ def diff_world():
 
 @pytest.fixture(scope="module")
 def diff_text(diff_world) -> str:
-    return dataset_to_json(MeasurementCampaign(diff_world).run())
+    return dataset_to_json(run_campaign(world=diff_world))
 
 
 @pytest.fixture(scope="module")
@@ -370,7 +369,7 @@ class TestHypothesisWorlds:
     )
     def test_generated_worlds_agree(self, n: int, seed: int, limit: int):
         world = build_world(WorldConfig(n_websites=n, seed=seed))
-        text = dataset_to_json(MeasurementCampaign(world, limit=limit).run())
+        text = dataset_to_json(run_campaign(world=world, limit=limit))
         snapshot = slow_snapshot(text)
         block = slow_store_block(text, snapshot)
         engine = QueryEngine(

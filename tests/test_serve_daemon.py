@@ -29,8 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import WorldConfig, build_world
+from repro.engine import run_campaign
 from repro.measurement.io import dataset_to_json
-from repro.measurement.runner import MeasurementCampaign
 from repro.serve.client import (
     ClientTransportError,
     fetch_health,
@@ -63,7 +63,7 @@ def store_paths(tmp_path_factory) -> dict[str, str]:
             WorldConfig(n_websites=DAEMON_N, seed=DAEMON_SEED, year=year)
         )
         blob = compile_dataset_text(
-            dataset_to_json(MeasurementCampaign(world).run())
+            dataset_to_json(run_campaign(world=world))
         )
         path = base / f"y{year}.rstore"
         path.write_bytes(blob)

@@ -28,8 +28,8 @@ import threading
 import pytest
 
 from repro import WorldConfig, build_world
+from repro.engine import run_campaign
 from repro.measurement.io import dataset_to_json
-from repro.measurement.runner import MeasurementCampaign
 from repro.query import QueryEngine, QueryError, payload_to_json
 from repro.serve.client import send_batch, send_diff, send_query
 from repro.serve.http import ReproServeDaemon
@@ -61,7 +61,7 @@ def store_paths(tmp_path_factory) -> dict[str, str]:
             WorldConfig(n_websites=DIFF_N, seed=DIFF_SEED, year=year)
         )
         blob = compile_dataset_text(
-            dataset_to_json(MeasurementCampaign(world).run())
+            dataset_to_json(run_campaign(world=world))
         )
         path = base / f"y{year}.rstore"
         path.write_bytes(blob)

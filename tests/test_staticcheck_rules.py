@@ -686,6 +686,38 @@ class TestRep007TaintTracking:
         (finding,) = result.findings
         assert "os.urandom()" in finding.message
 
+    @pytest.mark.parametrize(
+        "source,label",
+        [
+            ("time.time()", "time.time()"),
+            ("os.urandom(8).hex()", "os.urandom()"),
+        ],
+        ids=["wallclock", "entropy"],
+    )
+    @pytest.mark.parametrize(
+        "store",
+        ['payload["started"] = {source}', "payload.update(started={source})"],
+        ids=["subscript", "update"],
+    )
+    def test_value_stored_into_a_container(self, store, source, label):
+        result = lint(
+            f"""
+            import json
+            import os
+            import time
+
+
+            def snapshot() -> str:
+                payload = {{}}
+                {store.format(source=source)}
+                return json.dumps(payload)
+            """,
+            config=only("REP007"),
+        )
+        (finding,) = result.findings
+        assert f"line 9 ({label})" in finding.message
+        assert "sink line 10" in finding.message
+
     def test_set_order_into_serializer(self):
         result = lint(
             """

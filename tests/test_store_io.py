@@ -19,8 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import WorldConfig, build_world
+from repro.engine import run_campaign
 from repro.measurement.io import dataset_to_json
-from repro.measurement.runner import MeasurementCampaign
 from repro.query import LRUCache, QueryEngine
 from repro.store import (
     SCHEMA,
@@ -40,7 +40,7 @@ VERSION_OFFSET = len(MAGIC)  # the u32 wire version sits right after magic
 
 def small_dataset_text(n: int, seed: int, limit: int) -> str:
     world = build_world(WorldConfig(n_websites=n, seed=seed))
-    return dataset_to_json(MeasurementCampaign(world, limit=limit).run())
+    return dataset_to_json(run_campaign(world=world, limit=limit))
 
 
 @pytest.fixture(scope="module")

@@ -366,7 +366,7 @@ class TestTracingUnderFaults:
         telemetry = TelemetryConfig(metrics=True, trace=True).build()
         world = build_world(WorldConfig(n_websites=120, seed=5))
         campaign = MeasurementCampaign(
-            world, limit=3, fault_plan=plan, telemetry=telemetry
+            world, fault_plan=plan, telemetry=telemetry
         )
         for domain, rank in ranked_sites(world, limit=3):
             campaign.measure_site(domain, rank)

@@ -16,7 +16,6 @@ from repro import World, WorldConfig, build_world
 from repro.engine import run_campaign
 from repro.faults import FaultPlan
 from repro.measurement.io import dataset_to_json
-from repro.measurement.runner import MeasurementCampaign
 from repro.telemetry import TelemetryConfig, chrome_trace, metrics_to_json
 from tests.test_golden_corpus import canonical_chaos_plan
 
@@ -66,11 +65,11 @@ def test_telemetry_stays_with_its_own_campaign():
     traced = TelemetryConfig(
         metrics=False, diagnostics=True, trace=True
     ).build()
-    MeasurementCampaign(world, limit=20, telemetry=traced).run()
+    run_campaign(world=world, limit=20, telemetry=traced)
     assert traced.diagnostics is not None and traced.tracer is not None
     diagnostics = traced.diagnostics.to_dict()
     spans = chrome_trace(traced.tracer.roots)
     assert spans.count('"ph": "B"') > 20
-    MeasurementCampaign(world, limit=20).run()
+    run_campaign(world=world, limit=20)
     assert traced.diagnostics.to_dict() == diagnostics
     assert chrome_trace(traced.tracer.roots) == spans
