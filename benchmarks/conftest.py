@@ -13,7 +13,7 @@ import os
 import pytest
 
 from repro import WorldConfig, analyze_world, build_world_pair
-from repro.worldgen import hospital_snapshot, materialize
+from repro.worldgen import hospital_snapshot
 from repro.worldgen.world import World
 
 BENCH_N = int(os.environ.get("REPRO_BENCH_N", "3000"))
@@ -50,5 +50,5 @@ def snapshot_2020(worlds):
 @pytest.fixture(scope="session")
 def hospital_snapshot_analyzed(bench_config):
     spec = hospital_snapshot(bench_config, n_hospitals=200)
-    world = World(materialize(spec), bench_config)
+    world = World(spec, bench_config)
     return analyze_world(world)

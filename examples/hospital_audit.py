@@ -12,7 +12,7 @@ Run:  python examples/hospital_audit.py
 from repro import analyze_world
 from repro.analysis import render_table, table10_hospitals
 from repro.core import ServiceType
-from repro.worldgen import WorldConfig, hospital_snapshot, materialize
+from repro.worldgen import WorldConfig, hospital_snapshot
 from repro.worldgen.world import World
 
 
@@ -20,7 +20,7 @@ def main() -> None:
     config = WorldConfig(n_websites=1000, seed=42)
     print("Generating the top-200 US-hospital population...")
     spec = hospital_snapshot(config, n_hospitals=200)
-    world = World(materialize(spec), config)
+    world = World(spec, config)
     print("Measuring hospital websites...")
     snapshot = analyze_world(world)
 

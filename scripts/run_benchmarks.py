@@ -521,8 +521,8 @@ def run_epoch_bench() -> dict:
     identical = True
     for epoch in range(EPOCH_COUNT):
         changes = timeline.changes(epoch)
-        world_full = timeline.world(epoch)
-        world_inc = timeline.world(epoch)
+        world_full = timeline.world(epoch).build()
+        world_inc = timeline.world(epoch).build()
         display = dns_display_directory(world_full)
 
         start = time.perf_counter()  # repro: noqa[REP001] -- benchmark harness measures wall-clock by design; timings are non-deterministic fields

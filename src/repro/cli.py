@@ -578,13 +578,11 @@ _TABLE_DISPATCH = {
 
 def cmd_table(args) -> int:
     if args.number == 10:
-        from repro.worldgen import hospital_snapshot, materialize
+        from repro.worldgen import hospital_snapshot
         from repro.worldgen.world import World
 
         config = WorldConfig(n_websites=args.n, seed=args.seed)
-        snapshot = analyze_world(
-            World(materialize(hospital_snapshot(config, 200)), config)
-        )
+        snapshot = analyze_world(World(hospital_snapshot(config, 200), config))
         print(render_table(table_builders.table10_hospitals(snapshot)))
         return 0
     if args.number == 11:

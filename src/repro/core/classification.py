@@ -26,7 +26,7 @@ from repro.measurement.records import (
     SoaIdentity,
     TlsObservation,
 )
-from repro.names.registrable import registrable_domain, tld
+from repro.names.registrable import BaseOf, registrable_domain, tld
 
 DEFAULT_CONCENTRATION_THRESHOLD = 50
 
@@ -49,11 +49,11 @@ class ClassificationMethod(enum.Enum):
     NONE = "none"
 
 
-def _san_bases(san: tuple[str, ...]) -> set[str]:
+def _san_bases(san: tuple[str, ...], base_of: BaseOf) -> set[str]:
     """Registrable domains covered by a SAN list."""
     bases: set[str] = set()
     for entry in san:
-        base = registrable_domain(entry.lstrip("*."))
+        base = base_of(entry.lstrip("*."))
         if base:
             bases.add(base)
     return bases
@@ -122,14 +122,15 @@ def classify_nameserver(
     san: tuple[str, ...],
     concentration: int,
     threshold: int = DEFAULT_CONCENTRATION_THRESHOLD,
+    base_of: BaseOf = registrable_domain,
 ) -> NameserverClassification:
     """The paper's combined DNS heuristic for one (website, NS) pair."""
-    if tld(nameserver) == tld(domain):
+    ns_base = base_of(nameserver)
+    if ns_base == base_of(domain):
         return NameserverClassification(
             nameserver, ProviderType.PRIVATE, ClassificationMethod.TLD
         )
-    ns_base = registrable_domain(nameserver)
-    if san and ns_base in _san_bases(san):
+    if san and ns_base in _san_bases(san, base_of):
         return NameserverClassification(
             nameserver, ProviderType.PRIVATE, ClassificationMethod.SAN
         )
@@ -174,6 +175,7 @@ def classify_dns(
     san: tuple[str, ...],
     concentration_of: Callable[[str], int],
     threshold: int = DEFAULT_CONCENTRATION_THRESHOLD,
+    base_of: BaseOf = registrable_domain,
 ) -> DnsClassification:
     """Classify a website's full nameserver set and group it by entity.
 
@@ -183,7 +185,7 @@ def classify_dns(
     """
     result = DnsClassification(domain=observation.domain)
     for nameserver in observation.nameservers:
-        base = registrable_domain(nameserver) or nameserver
+        base = base_of(nameserver) or nameserver
         result.nameservers.append(
             classify_nameserver(
                 observation.domain,
@@ -193,14 +195,15 @@ def classify_dns(
                 san,
                 concentration_of(base),
                 threshold,
+                base_of,
             )
         )
     result.entity_groups = group_nameservers_by_entity(
-        observation.nameservers, observation.nameserver_soas
+        observation.nameservers, observation.nameserver_soas, base_of
     )
     type_by_ns = {ns.nameserver: ns.type for ns in result.nameservers}
     for group in result.entity_groups:
-        provider_id = provider_id_for(group)
+        provider_id = provider_id_for(group, base_of)
         result.provider_ids.append(provider_id)
         if any(type_by_ns[ns] == ProviderType.THIRD_PARTY for ns in group):
             result.third_party_provider_ids.append(provider_id)
@@ -238,6 +241,7 @@ def classify_ca(
     website_soa: Optional[SoaIdentity],
     soa_lookup: SoaLookup,
     ca_name_for_host: Callable[[str], str],
+    base_of: BaseOf = registrable_domain,
 ) -> CaClassification:
     """The paper's CA heuristic over the certificate's revocation URLs."""
     result = CaClassification(domain=tls.domain, https=tls.https)
@@ -253,11 +257,12 @@ def classify_ca(
     ca_host = hosts[0]
     result.ca_host = ca_host
     result.ca_name = ca_name_for_host(ca_host)
-    if tld(ca_host) == tld(tls.domain):
+    ca_base = base_of(ca_host)
+    if ca_base == base_of(tls.domain):
         result.type = ProviderType.PRIVATE
         result.method = ClassificationMethod.TLD
         return result
-    if registrable_domain(ca_host) in _san_bases(tls.san):
+    if ca_base in _san_bases(tls.san, base_of):
         result.type = ProviderType.PRIVATE
         result.method = ClassificationMethod.SAN
         return result
@@ -324,21 +329,26 @@ def classify_cdn(
     san: tuple[str, ...],
     website_soa: Optional[SoaIdentity],
     soa_lookup: SoaLookup,
+    base_of: BaseOf = registrable_domain,
 ) -> list[CdnClassification]:
     """The paper's CDN heuristic: per detected CDN, walk its CNAMEs
     through the TLD → SAN → SOA ladder."""
     results: list[CdnClassification] = []
-    san_bases = _san_bases(san)
+    if not observation.detected_cdns:
+        return results
+    san_bases = _san_bases(san, base_of)
+    site_base = base_of(observation.domain)
     for cdn_name, cnames in sorted(observation.detected_cdns.items()):
         result = CdnClassification(
             domain=observation.domain, cdn_name=cdn_name, cnames=list(cnames)
         )
         for cname in cnames:
-            if tld(cname) == tld(observation.domain):
+            cname_base = base_of(cname)
+            if cname_base == site_base:
                 result.type = ProviderType.PRIVATE
                 result.method = ClassificationMethod.TLD
                 break
-            if registrable_domain(cname) in san_bases:
+            if cname_base in san_bases:
                 result.type = ProviderType.PRIVATE
                 result.method = ClassificationMethod.SAN
                 break

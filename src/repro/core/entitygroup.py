@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.measurement.records import SoaIdentity
-from repro.names.registrable import registrable_domain
+from repro.names.registrable import BaseOf, registrable_domain
 
 
 class _UnionFind:
@@ -35,8 +35,12 @@ class _UnionFind:
 def group_nameservers_by_entity(
     nameservers: list[str],
     soas: dict[str, Optional[SoaIdentity]],
+    base_of: BaseOf = registrable_domain,
 ) -> list[list[str]]:
     """Partition nameservers into same-entity groups.
+
+    ``base_of`` derives a name's registrable domain (an analysis passes
+    its per-call :func:`~repro.names.registrable.registrable_memo`).
 
     >>> from repro.measurement.records import SoaIdentity
     >>> soa = SoaIdentity("ns1.alibabadns.com", "admin.alibabadns.com")
@@ -51,7 +55,7 @@ def group_nameservers_by_entity(
     uf = _UnionFind(list(nameservers))
     for i, a in enumerate(nameservers):
         for b in nameservers[i + 1:]:
-            if _same_entity(a, b, soas.get(a), soas.get(b)):
+            if _same_entity(a, b, soas.get(a), soas.get(b), base_of):
                 uf.union(a, b)
     groups: dict[str, list[str]] = {}
     for ns in nameservers:
@@ -64,18 +68,19 @@ def _same_entity(
     b: str,
     soa_a: Optional[SoaIdentity],
     soa_b: Optional[SoaIdentity],
+    base_of: BaseOf,
 ) -> bool:
-    if registrable_domain(a) == registrable_domain(b):
+    if base_of(a) == base_of(b):
         return True
     if soa_a is None or soa_b is None:
         return False
     return soa_a.rname == soa_b.rname or soa_a.mname == soa_b.mname
 
 
-def provider_id_for(group: list[str]) -> str:
+def provider_id_for(
+    group: list[str], base_of: BaseOf = registrable_domain
+) -> str:
     """A stable measured identity for an entity group: the lexicographically
     smallest registrable domain among its nameservers."""
-    bases = sorted(
-        registrable_domain(ns) or ns for ns in group
-    )
+    bases = sorted(base_of(ns) or ns for ns in group)
     return bases[0] if bases else ""

@@ -43,6 +43,7 @@ from repro.core.pipeline import (
     classify_website,
 )
 from repro.measurement.records import Dataset
+from repro.names.registrable import registrable_memo
 
 
 def _edge_pairs(
@@ -74,9 +75,12 @@ def refresh_snapshot(
     comparison, where the splice's object reuse makes the common case an
     identity check. The rank scale and threshold are inherited from
     ``prev`` — refreshing across different scales is not meaningful.
+    Like ``analyze_dataset``, one call derives each name's registrable
+    domain once.
     """
     threshold = prev.concentration_threshold
-    bases = _nameserver_bases(prev.dataset, dataset)
+    base_of = registrable_memo()
+    bases = _nameserver_bases(prev.dataset, dataset, base_of=base_of)
     old_concentrations = _nameserver_concentrations(prev.dataset, bases)
     new_concentrations = _nameserver_concentrations(dataset, bases)
     concentration_of = lambda base: new_concentrations.get(base, 0)  # noqa: E731
@@ -120,7 +124,8 @@ def refresh_snapshot(
         )
         if stale:
             website = classify_website(
-                measurement, concentration_of, threshold, new_ca_names
+                measurement, concentration_of, threshold, new_ca_names,
+                base_of,
             )
             reclassified.append(website)
         else:
@@ -140,7 +145,7 @@ def refresh_snapshot(
             )
 
     interservice, edges = classify_interservice(
-        dataset, concentration_of, threshold
+        dataset, concentration_of, threshold, base_of
     )
     old_pairs = _edge_pairs(prev.interservice_edges)
     new_pairs = _edge_pairs(edges)

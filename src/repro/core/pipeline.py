@@ -34,7 +34,7 @@ from repro.measurement.records import (
     RevocationEndpointObservation,
     SoaIdentity,
 )
-from repro.names.registrable import registrable_domain, tld
+from repro.names.registrable import BaseOf, registrable_domain, registrable_memo
 from repro.worldgen.world import World
 
 DEFAULT_PAPER_THRESHOLD = 50
@@ -119,19 +119,21 @@ class AnalyzedSnapshot:
         return [w for w in self.websites if w.uses_cdn]
 
 
-def _nameserver_bases(*datasets: Dataset) -> dict[int, tuple[str, ...]]:
+def _nameserver_bases(
+    *datasets: Dataset, base_of: BaseOf = registrable_domain
+) -> dict[int, tuple[str, ...]]:
     """Each record's distinct nameserver registrable domains, first-seen order.
 
     Keyed by record identity: across timeline epochs the datasets share
     the record objects of unchanged sites, so a record shared by several
-    datasets pays for its PSL lookups once.
+    datasets is walked once.
     """
     bases: dict[int, tuple[str, ...]] = {}
     for dataset in datasets:
         for website in dataset.websites:
             if id(website) not in bases:
                 bases[id(website)] = tuple(dict.fromkeys(
-                    registrable_domain(nameserver) or nameserver
+                    base_of(nameserver) or nameserver
                     for nameserver in website.dns.nameservers
                 ))
     return bases
@@ -164,8 +166,9 @@ def _endpoint_ca_names(dataset: Dataset) -> dict[str, str]:
 
 def _classify_provider_dns(
     observation: ProviderDnsObservation,
-    concentration_of,
+    concentration_of: Callable[[str], int],
     threshold: int,
+    base_of: BaseOf,
 ) -> DnsClassification:
     """Run the DNS heuristic on a provider's own service domain."""
     as_dns_obs = DnsObservation(
@@ -174,12 +177,16 @@ def _classify_provider_dns(
         website_soa=observation.domain_soa,
         nameserver_soas=dict(observation.nameserver_soas),
     )
-    return classify_dns(as_dns_obs, san=(), concentration_of=concentration_of, threshold=threshold)
+    return classify_dns(
+        as_dns_obs, san=(), concentration_of=concentration_of,
+        threshold=threshold, base_of=base_of,
+    )
 
 
 def _classify_ca_cdn(
     observation: RevocationEndpointObservation,
     ca_domain_soa: Optional[SoaIdentity],
+    base_of: BaseOf,
 ) -> CaCdnClassification:
     """CA→CDN: third-party when the endpoint CNAMEs belong to another
     entity; critical when every endpoint fronts through one such CDN."""
@@ -190,10 +197,10 @@ def _classify_ca_cdn(
     result.cdn_names = sorted(observation.detected_cdns)
     ca_base = None
     if observation.endpoint_hosts:
-        ca_base = tld(observation.endpoint_hosts[0])
+        ca_base = base_of(observation.endpoint_hosts[0])
     for cdn_name, cnames in observation.detected_cdns.items():
         for cname in cnames:
-            if tld(cname) == ca_base:
+            if base_of(cname) == ca_base:
                 continue  # own edge names: private CDN
             cname_soa = observation.cname_soas.get(cname)
             if (
@@ -220,13 +227,15 @@ def classify_website(
     concentration_of: Callable[[str], int],
     threshold: int,
     ca_names: dict[str, str],
+    base_of: BaseOf = registrable_domain,
 ) -> ClassifiedWebsite:
     """Classify one website measurement — the per-site unit of work.
 
     Shared between the batch pass (:func:`analyze_dataset`) and the
     incremental one (:func:`repro.core.incremental.refresh_snapshot`);
     a site's classification depends on nothing beyond the arguments here,
-    which is what makes per-site reuse sound.
+    which is what makes per-site reuse sound. ``base_of`` only changes
+    how often a name's registrable domain is derived, never its value.
     """
     tls = measurement.tls
     dns_classification = classify_dns(
@@ -234,20 +243,23 @@ def classify_website(
         san=tls.san,
         concentration_of=concentration_of,
         threshold=threshold,
+        base_of=base_of,
     )
     ca_classification = classify_ca(
         tls,
         website_soa=measurement.dns.website_soa,
         soa_lookup=lambda host, _t=tls: _t.endpoint_soas.get(host),
-        ca_name_for_host=lambda host: ca_names.get(
-            host, registrable_domain(host) or host
+        ca_name_for_host=lambda host: (
+            ca_names[host] if host in ca_names else base_of(host) or host
         ),
+        base_of=base_of,
     )
     cdn_classifications = classify_cdn(
         measurement.cdn,
         san=tls.san,
         website_soa=measurement.dns.website_soa,
         soa_lookup=lambda name, _c=measurement.cdn: _c.cname_soas.get(name),
+        base_of=base_of,
     )
     return ClassifiedWebsite(
         domain=measurement.domain,
@@ -262,6 +274,7 @@ def classify_interservice(
     dataset: Dataset,
     concentration_of: Callable[[str], int],
     threshold: int,
+    base_of: BaseOf = registrable_domain,
 ) -> tuple[
     InterServiceClassifications,
     list[tuple[ProviderNode, ProviderNode, bool]],
@@ -270,16 +283,16 @@ def classify_interservice(
     interservice = InterServiceClassifications()
     for name, observation in dataset.cdn_dns.items():
         interservice.cdn_dns[name] = _classify_provider_dns(
-            observation, concentration_of, threshold
+            observation, concentration_of, threshold, base_of
         )
     for name, observation in dataset.ca_dns.items():
         interservice.ca_dns[name] = _classify_provider_dns(
-            observation, concentration_of, threshold
+            observation, concentration_of, threshold, base_of
         )
     for name, observation in dataset.ca_cdn.items():
         ca_soa = dataset.ca_dns.get(name)
         interservice.ca_cdn[name] = _classify_ca_cdn(
-            observation, ca_soa.domain_soa if ca_soa else None
+            observation, ca_soa.domain_soa if ca_soa else None, base_of
         )
 
     edges: list[tuple[ProviderNode, ProviderNode, bool]] = []
@@ -328,24 +341,29 @@ def analyze_dataset(
 
     ``concentration_threshold`` defaults to the paper's 50, scaled by
     ``rank_scale`` (a downscaled world has proportionally fewer customers
-    per provider).
+    per provider). Each name's registrable domain is derived once per
+    call, through a memo that dies with it.
     """
     if concentration_threshold is None:
         concentration_threshold = max(
             2, round(DEFAULT_PAPER_THRESHOLD / rank_scale)
         )
-    concentrations = _nameserver_concentrations(dataset)
+    base_of = registrable_memo()
+    concentrations = _nameserver_concentrations(
+        dataset, _nameserver_bases(dataset, base_of=base_of)
+    )
     concentration_of = lambda base: concentrations.get(base, 0)  # noqa: E731
     ca_names = _endpoint_ca_names(dataset)
 
     websites = [
         classify_website(
-            measurement, concentration_of, concentration_threshold, ca_names
+            measurement, concentration_of, concentration_threshold, ca_names,
+            base_of,
         )
         for measurement in dataset.websites
     ]
     interservice, edges = classify_interservice(
-        dataset, concentration_of, concentration_threshold
+        dataset, concentration_of, concentration_threshold, base_of
     )
 
     display_names = {}

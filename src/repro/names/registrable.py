@@ -8,7 +8,7 @@ with the default snapshot, while allowing an explicit PSL for testing.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.names.normalize import normalize, split_labels
 from repro.names.psl import PublicSuffixList, default_psl
@@ -31,6 +31,31 @@ def registrable_domain(name: str, psl: Optional[PublicSuffixList] = None) -> Opt
 def tld(name: str, psl: Optional[PublicSuffixList] = None) -> Optional[str]:
     """The paper's ``tld()``: alias of :func:`registrable_domain`."""
     return registrable_domain(name, psl)
+
+
+#: Name → registrable domain: plain :func:`registrable_domain`, or an
+#: analysis call's :func:`registrable_memo`.
+BaseOf = Callable[[str], Optional[str]]
+
+
+class _RegistrableMemo(dict[str, Optional[str]]):
+    def __missing__(self, name: str) -> Optional[str]:
+        base = self[name] = registrable_domain(name)
+        return base
+
+
+def registrable_memo() -> BaseOf:
+    """A :func:`registrable_domain` that derives each name once.
+
+    The memo lives exactly as long as the returned function: an analysis
+    makes one per call and drops it on return, so no result outlives a
+    change to the PSL and every call does the same work.
+
+    >>> base_of = registrable_memo()
+    >>> base_of("ns1.dynect.net"), base_of("ns1.dynect.net")
+    ('dynect.net', 'dynect.net')
+    """
+    return _RegistrableMemo().__getitem__
 
 
 def same_registrable_domain(

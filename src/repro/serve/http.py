@@ -30,7 +30,6 @@ The waiver is confined to :func:`_now` below.
 
 from __future__ import annotations
 
-import json
 import signal
 import socket
 import threading
@@ -46,6 +45,7 @@ from repro.serve.protocol import (
     DrainingError,
     OverloadedError,
     classify_error,
+    decode_body,
 )
 from repro.serve.service import ServeService
 
@@ -221,18 +221,6 @@ class ServeHandler(BaseHTTPRequestHandler):
             )
         return self.rfile.read(length)
 
-    def _parse_body(self) -> dict[str, Any]:
-        raw = self._read_body()
-        try:
-            doc = json.loads(raw)
-        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
-            raise BadRequestError(f"request body is not JSON: {exc}") from None
-        except RecursionError:
-            raise BadRequestError("request body nests too deeply") from None
-        if not isinstance(doc, dict):
-            raise BadRequestError("request body must be a JSON object")
-        return doc
-
     # -- GET: introspection ----------------------------------------------------
 
     def do_GET(self) -> None:
@@ -285,7 +273,7 @@ class ServeHandler(BaseHTTPRequestHandler):
                 )
 
         try:
-            doc = self._parse_body()
+            doc = decode_body(self._read_body())
             check()
             if endpoint == "/v1/query":
                 return 200, self.server.service.answer(doc)

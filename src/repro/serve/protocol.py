@@ -34,6 +34,7 @@ and every error response body is the canonical rendering of
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -126,6 +127,19 @@ class Query:
         if self.kind == "site":
             return {"kind": "site", "site": self.name}
         return {"kind": self.kind, "provider": self.name}
+
+
+def decode_body(raw: bytes) -> dict[str, Any]:
+    """A POST body as its JSON object; raises :class:`BadRequestError`."""
+    try:
+        doc = json.loads(raw)
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise BadRequestError(f"request body is not JSON: {exc}") from None
+    except RecursionError:
+        raise BadRequestError("request body nests too deeply") from None
+    if not isinstance(doc, dict):
+        raise BadRequestError("request body must be a JSON object")
+    return doc
 
 
 def _require_str(obj: Mapping[str, Any], key: str) -> str:

@@ -52,7 +52,6 @@ from repro.worldgen.generate import (
     generate_snapshot,
     generate_websites,
 )
-from repro.worldgen.materialize import materialize
 from repro.worldgen.spec import (
     CaSpec,
     CdnSpec,
@@ -223,15 +222,16 @@ class Timeline:
         return self._changes[epoch]
 
     def world(self, epoch: int) -> World:
-        """Materialize one epoch into a live measurable world.
+        """One epoch as a measurable world, not yet built.
 
-        Each call materializes afresh; nothing is cached here. A world is
-        reusable (every campaign measures through its own cold vantage),
-        so a caller that measures one epoch twice may keep the instance.
+        Each call returns a new world over the cached spec; its
+        infrastructure is materialized on first use (a vantage, a fault
+        plan, an outage), so reading its spec or config costs nothing.
+        A world is reusable (every campaign measures through its own
+        cold vantage), so a caller that measures one epoch twice may
+        keep the instance and pay for one build.
         """
-        return World(
-            materialize(self.spec(epoch)), self.config.world_config(epoch)
-        )
+        return World(self.spec(epoch), self.config.world_config(epoch))
 
     # -- construction -------------------------------------------------------
 

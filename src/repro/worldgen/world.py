@@ -1,8 +1,10 @@
 """The :class:`World`: a live simulated internet.
 
-Wraps a materialized snapshot with fault injection (provider outages)
-used by the incident-replay experiments. A world holds infrastructure
-only: measurement tools — a caching resolver, a dig client, a web client
+Wraps a snapshot spec with fault injection (provider outages) used by
+the incident-replay experiments. A world holds infrastructure only, and
+builds it (:func:`~repro.worldgen.materialize.materialize`) the first
+time something needs it: reading a world's spec, year or config never
+does. Measurement tools — a caching resolver, a dig client, a web client
 and a crawler — come from :meth:`World.vantage`, cold on every call.
 """
 
@@ -38,22 +40,39 @@ class VantagePoint:
 
 
 class World:
-    """One live snapshot of the simulated internet."""
+    """One live snapshot of the simulated internet.
 
-    def __init__(self, materialized: MaterializedWorld, config: WorldConfig):
-        self._m = materialized
+    The infrastructure (``clock``, ``dns_network``, ``http_fabric``,
+    ``trust_store``, the ``*_infra`` maps) is materialized once, on
+    first use; :meth:`build` forces it.
+    """
+
+    def __init__(self, spec: SnapshotSpec, config: WorldConfig):
+        self._spec = spec
         self.config = config
         self.fault_injector: Optional[FaultInjector] = None
+        self._built: Optional[MaterializedWorld] = None
+
+    @property
+    def _m(self) -> MaterializedWorld:
+        if self._built is None:
+            self._built = materialize(self._spec)
+        return self._built
+
+    def build(self) -> World:
+        """Materialize the infrastructure now rather than on first use."""
+        self._built = self._m
+        return self
 
     # -- accessors ---------------------------------------------------------
 
     @property
     def spec(self) -> SnapshotSpec:
-        return self._m.spec
+        return self._spec
 
     @property
     def year(self) -> int:
-        return self._m.spec.year
+        return self._spec.year
 
     @property
     def clock(self):
@@ -96,18 +115,16 @@ class World:
         independent user in ``region`` (GeoDNS views apply) validating
         revocation under ``policy`` — the multi-vantage extension of the
         paper's §3.5. Vantages share no cache with each other."""
+        m = self._m
         resolver = IterativeResolver(
-            self._m.dns_network,
-            self._m.root_hints,
-            clock=self._m.clock,
-            region=region,
+            m.dns_network, m.root_hints, clock=m.clock, region=region
         )
         dig = DigClient(resolver)
         client = WebClient(
             dns=dig,
-            fabric=self._m.http_fabric,
-            trust_store=self._m.trust_store,
-            clock=self._m.clock,
+            fabric=m.http_fabric,
+            trust_store=m.trust_store,
+            clock=m.clock,
             revocation_policy=policy,
         )
         return VantagePoint(
@@ -115,7 +132,7 @@ class World:
             resolver=resolver,
             dig=dig,
             web_client=client,
-            crawler=Crawler(client, clock=self._m.clock),
+            crawler=Crawler(client, clock=m.clock),
         )
 
     # -- fault injection -----------------------------------------------------
@@ -128,14 +145,15 @@ class World:
         never called this.
         """
         plan.validate()
+        m = self._m
         if plan.empty:
             self.clear_faults()
             return None
         injector = FaultInjector(plan)
         self.fault_injector = injector
-        self._m.dns_network.install_faults(injector, self._m.clock)
-        self._m.http_fabric.install_faults(injector)
-        for infra in self._m.ca_infra.values():
+        m.dns_network.install_faults(injector, m.clock)
+        m.http_fabric.install_faults(injector)
+        for infra in m.ca_infra.values():
             responder = infra.ca.ocsp_responder
             responder.fault_injector = injector
             responder.fault_host = infra.spec.ocsp_host
@@ -145,11 +163,15 @@ class World:
         return injector
 
     def clear_faults(self) -> None:
-        """Detach any installed fault injector from every layer."""
+        """Detach any installed fault injector from every layer (an
+        unbuilt world has none, and stays unbuilt)."""
         self.fault_injector = None
-        self._m.dns_network.install_faults(None, None)
-        self._m.http_fabric.install_faults(None)
-        for infra in self._m.ca_infra.values():
+        m = self._built
+        if m is None:
+            return
+        m.dns_network.install_faults(None, None)
+        m.http_fabric.install_faults(None)
+        for infra in m.ca_infra.values():
             infra.ca.ocsp_responder.fault_injector = None
             infra.ca.cdp.fault_injector = None
 
@@ -186,14 +208,18 @@ class World:
         self._m.ca_infra[key].ca.ocsp_responder.misconfigured_revoke_all = broken
 
     def restore_all(self) -> None:
-        """Bring every failed component back."""
-        for ip in list(self._m.dns_network.down_ips()):
-            self._m.dns_network.set_ip_available(ip, True)
-        for infra in self._m.cdn_infra.values():
-            self._m.http_fabric.set_server_available(infra.edge_server, True)
-        for infra in self._m.ca_infra.values():
+        """Bring every failed component back (an unbuilt world has none
+        down, and stays unbuilt)."""
+        m = self._built
+        if m is None:
+            return
+        for ip in list(m.dns_network.down_ips()):
+            m.dns_network.set_ip_available(ip, True)
+        for infra in m.cdn_infra.values():
+            m.http_fabric.set_server_available(infra.edge_server, True)
+        for infra in m.ca_infra.values():
             if infra.service_server is not None:
-                self._m.http_fabric.set_server_available(
+                m.http_fabric.set_server_available(
                     infra.service_server, True
                 )
 
@@ -206,7 +232,8 @@ class World:
 
 
 def build_world(config: Optional[WorldConfig] = None) -> World:
-    """Generate, (optionally) evolve, and materialize one world."""
+    """Generate, (optionally) evolve, and materialize one world (built
+    before it returns, so the build is paid here and not mid-campaign)."""
     config = config or WorldConfig()
     if config.year == 2016:
         spec = generate_snapshot(config)
@@ -218,7 +245,7 @@ def build_world(config: Optional[WorldConfig] = None) -> World:
             "build_world only knows the paper's endpoint snapshots; "
             "intermediate years come from repro.worldgen.timeline"
         )
-    return World(materialize(spec), config)
+    return World(spec, config).build()
 
 
 def build_world_pair(
@@ -229,6 +256,6 @@ def build_world_pair(
     base_config = replace(config, year=2016)
     spec_2016 = generate_snapshot(base_config)
     spec_2020, churn = evolve_to_2020(spec_2016, config)
-    world_2016 = World(materialize(spec_2016), base_config)
-    world_2020 = World(materialize(spec_2020), replace(config, year=2020))
+    world_2016 = World(spec_2016, base_config).build()
+    world_2020 = World(spec_2020, replace(config, year=2020)).build()
     return world_2016, world_2020, churn

@@ -4,7 +4,7 @@ import pytest
 
 from repro import analyze_world
 from repro.analysis import table10_hospitals, table11_smart_home
-from repro.worldgen import WorldConfig, hospital_snapshot, materialize
+from repro.worldgen import WorldConfig, hospital_snapshot
 from repro.worldgen.case_studies import smart_home_companies
 from repro.worldgen.spec import PRIVATE
 from repro.worldgen.world import World
@@ -14,7 +14,7 @@ from repro.worldgen.world import World
 def hospital_analyzed():
     config = WorldConfig(n_websites=1000, seed=11)
     spec = hospital_snapshot(config, n_hospitals=200)
-    world = World(materialize(spec), config)
+    world = World(spec, config)
     return analyze_world(world)
 
 

@@ -1,10 +1,15 @@
 """Tests for rank metrics, provider CDFs, and the end-to-end pipeline."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core import metrics
 from repro.core.classification import ProviderType
+from repro.core.incremental import refresh_snapshot
 from repro.core.metrics import PAPER_BUCKETS
+from repro.core.pipeline import analyze_dataset
+from repro.names.psl import PublicSuffixList
 
 
 class TestBucketStats:
@@ -181,3 +186,48 @@ class TestPipelineIntegration:
         indirect = snapshot_2020.graph.impact(node) / n
         assert direct < 0.06
         assert indirect > direct + 0.10
+
+
+class TestRegistrableMemo:
+    """One analysis derives each name's registrable domain once, through
+    a memo that dies with the call."""
+
+    @pytest.fixture
+    def psl_calls(self, monkeypatch) -> Counter:
+        calls: Counter = Counter()
+        real = PublicSuffixList.registrable_domain
+
+        def counting(psl, name):
+            calls[name] += 1
+            return real(psl, name)
+
+        monkeypatch.setattr(PublicSuffixList, "registrable_domain", counting)
+        return calls
+
+    @staticmethod
+    def _analyze(snapshot):
+        return analyze_dataset(
+            snapshot.dataset,
+            rank_scale=snapshot.rank_scale,
+            dns_display_names=snapshot.dns_display_names,
+        )
+
+    def test_analysis_derives_each_name_once(self, snapshot_2020, psl_calls):
+        first = self._analyze(snapshot_2020)
+        once = dict(psl_calls)
+        assert once and max(once.values()) == 1
+        psl_calls.clear()
+        second = self._analyze(snapshot_2020)
+        # No result survives the first call: the second pays again.
+        assert dict(psl_calls) == once
+        assert first.provider_metrics() == second.provider_metrics()
+        assert first.provider_metrics() == snapshot_2020.provider_metrics()
+
+    def test_refresh_derives_each_name_once(self, snapshot_2020, psl_calls):
+        dataset = snapshot_2020.dataset
+        prev = self._analyze(snapshot_2020)
+        psl_calls.clear()
+        every = {m.domain for m in dataset.websites}
+        refreshed = refresh_snapshot(prev, dataset, changed=every)
+        assert psl_calls and max(psl_calls.values()) == 1
+        assert refreshed.provider_metrics() == snapshot_2020.provider_metrics()

@@ -25,7 +25,7 @@ import time
 from http.client import HTTPConnection
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import WorldConfig, build_world
@@ -40,10 +40,14 @@ from repro.serve.client import (
     send_query,
 )
 from repro.serve.http import ReproServeDaemon
+from repro.query import payload_to_json
 from repro.serve.protocol import (
+    QUERY_KINDS,
     BadRequestError,
     Query,
     UnknownStoreError,
+    classify_error,
+    decode_body,
     parse_query,
 )
 from repro.serve.registry import StoreRegistry, parse_store_specs
@@ -303,6 +307,116 @@ def test_any_json_field_value_parses_or_is_a_bad_request(kind, field, value):
         assert isinstance(parse_query(obj), Query)
     except BadRequestError:
         pass
+
+
+# -- service boundary ---------------------------------------------------------
+
+#: Values the JSON decoder yields that the strategies above never draw:
+#: lone surrogates (sent as ``\ud800``-style escapes), integers far
+#: past any machine word, and the non-finite floats Python's decoder
+#: accepts.
+_EDGE_VALUES = (
+    st.sampled_from(["\ud800", "\udfff", "a\ud800b", "\udc00\ud800"])
+    | st.integers(min_value=2**62, max_value=2**90)
+    | st.integers(min_value=-(2**90), max_value=-(2**62))
+    | st.sampled_from([float("nan"), float("inf"), float("-inf")])
+)
+_FIELD_VALUES = _JSON_VALUES | _EDGE_VALUES
+_STORE_NAMES = st.sampled_from(["y2016", "y2020"]) | _FIELD_VALUES
+
+#: A query whose every field is absent, valid, or any JSON value.
+_FUZZ_QUERIES = st.fixed_dictionaries(
+    {"kind": st.sampled_from(QUERY_KINDS) | _FIELD_VALUES},
+    optional={
+        field: st.just(value) | _FIELD_VALUES
+        for field, value in _VALID_FIELDS.items()
+        if field != "kind"
+    },
+)
+_FUZZ_ENVELOPES = st.fixed_dictionaries(
+    {},
+    optional={
+        "store": _STORE_NAMES,
+        "store_a": _STORE_NAMES,
+        "store_b": _STORE_NAMES,
+        "query": _FUZZ_QUERIES | _FIELD_VALUES,
+    },
+)
+_FUZZ_BODIES = st.one_of(
+    st.binary(max_size=64),
+    _FIELD_VALUES.map(lambda value: json.dumps(value).encode("utf-8")),
+    _FUZZ_ENVELOPES.map(lambda doc: json.dumps(doc).encode("utf-8")),
+    st.builds(
+        lambda doc, cut, junk: json.dumps(doc).encode("utf-8")[:cut] + junk,
+        _FUZZ_ENVELOPES,
+        st.integers(min_value=0, max_value=96),
+        st.binary(max_size=4),
+    ),
+)
+
+#: The typed refusals a request body alone can earn.
+_TYPED_4XX = {"bad-request", "unknown-store", "unknown-name"}
+
+
+def _serve_body(service: ServeService, endpoint: str, body: bytes):
+    """What the daemon answers a POST body with, minus the socket:
+    (status, the response bytes it would write)."""
+    try:
+        doc = decode_body(body)
+        if endpoint == "/v1/query":
+            payload = service.answer(doc)
+        else:
+            payload = service.answer_diff(doc)
+        status = 200
+    except Exception as exc:
+        status, payload = classify_error(exc)
+    return status, payload_to_json(payload).encode("utf-8")
+
+
+class TestServiceBoundary:
+    @pytest.fixture()
+    def service(self, store_paths):
+        return ServeService(StoreRegistry(store_paths))
+
+    def test_fuzzed_bodies_answer_or_refuse_with_a_typed_4xx(self, service):
+        """Every body is a payload or a typed 4xx; none is a 500."""
+
+        @settings(max_examples=400, deadline=None)
+        @given(endpoint=st.sampled_from(["/v1/query", "/v1/diff"]),
+               body=_FUZZ_BODIES)
+        @example(endpoint="/v1/query",
+                 body=b'{"store": "y2016", "query": '
+                      b'{"kind": "site", "site": "\\ud800"}}')
+        @example(endpoint="/v1/diff",
+                 body=b'{"store_a": "y2016", "store_b": "y2020", '
+                      b'"query": {"kind": "top", "k": 1180591620717411303424}}')
+        def exchange(endpoint, body):
+            status, response = _serve_body(service, endpoint, body)
+            if status != 200:
+                doc = json.loads(response)
+                assert 400 <= status < 500, doc
+                assert doc["error"]["type"] in _TYPED_4XX, doc
+
+        exchange()
+
+    def test_lone_surrogate_names_are_unknown_names(self, service):
+        for query in (
+            {"kind": "site", "site": "\ud800"},
+            {"kind": "whatif", "provider": "dns:\udfff.net"},
+        ):
+            body = json.dumps({"store": "y2016", "query": query}).encode()
+            status, response = _serve_body(service, "/v1/query", body)
+            assert status == 404
+            assert json.loads(response)["error"]["type"] == "unknown-name"
+
+    def test_a_huge_k_answers_every_provider(self, service):
+        query = {"kind": "top", "k": 2**70, "mode": "impact", "service": "dns"}
+        body = json.dumps({"store": "y2016", "query": query}).encode()
+        status, response = _serve_body(service, "/v1/query", body)
+        assert status == 200
+        small = {**query, "k": 10**6}
+        assert service.answer({"store": "y2016", "query": small})["results"] \
+            == json.loads(response)["results"]
 
 
 # -- HTTP boundary ------------------------------------------------------------
