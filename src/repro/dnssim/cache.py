@@ -4,6 +4,10 @@ Cache behaviour matters to the paper's motivation: the GlobalSign incident
 persisted for a week *because* revocation responses were cached. The cache
 here honours record TTLs against the simulated clock and supports negative
 entries (NXDOMAIN / NODATA) per RFC 2308.
+
+The public methods normalize the name and parse the type they are given.
+The resolver, whose names are canonical already, keys the private
+``_peek``/``_put``/``_put_negative`` by ``(name, RRType)`` tuples directly.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ class CacheStats:
         return self.hits + self.misses + self.negative_hits
 
 
-@dataclass
+@dataclass(slots=True)
 class _Entry:
     expires_at: float
     records: list[ResourceRecord]
@@ -70,12 +74,14 @@ class DnsCache:
 
     def put(self, name: str, rrtype: RRType, records: list[ResourceRecord]) -> None:
         """Cache a positive answer until the smallest record TTL expires."""
+        self._put(self._key(name, rrtype), records)
+
+    def _put(self, key: tuple[str, RRType], records: list[ResourceRecord]) -> None:
         if not records:
             return
         ttl = min(rr.ttl for rr in records)
         if ttl <= 0:
             return
-        key = self._key(name, rrtype)
         # Overwriting an existing key does not grow the cache, so a full
         # cache must not shed an unrelated entry for it.
         if key not in self._entries:
@@ -88,9 +94,13 @@ class DnsCache:
         self, name: str, rrtype: RRType, soa_minimum: int, nxdomain: bool
     ) -> None:
         """Cache an NXDOMAIN or NODATA outcome for the SOA minimum TTL."""
+        self._put_negative(self._key(name, rrtype), soa_minimum, nxdomain)
+
+    def _put_negative(
+        self, key: tuple[str, RRType], soa_minimum: int, nxdomain: bool
+    ) -> None:
         if soa_minimum <= 0:
             return
-        key = self._key(name, rrtype)
         if key not in self._entries:
             self._evict_if_full()
         self._entries[key] = _Entry(
@@ -136,7 +146,9 @@ class DnsCache:
 
     def peek(self, name: str, rrtype: RRType) -> Optional[list[ResourceRecord]]:
         """Like :meth:`get` but without counters or negative signalling."""
-        key = self._key(name, rrtype)
+        return self._peek(self._key(name, rrtype))
+
+    def _peek(self, key: tuple[str, RRType]) -> Optional[list[ResourceRecord]]:
         entry = self._entries.get(key)
         if entry is None or entry.negative or entry.expires_at <= self._clock.now():
             return None

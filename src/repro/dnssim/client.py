@@ -88,7 +88,6 @@ class DigClient:
         own zone, or of the enclosing zone when the name is a hostname
         below a cut. Empty list when resolution fails entirely.
         """
-        domain = normalize(domain)
         with self._tracking():
             try:
                 result = self._lookup(domain, RRType.NS)
@@ -116,7 +115,6 @@ class DigClient:
         A direct answer wins; otherwise the authority-section SOA of a
         NODATA/NXDOMAIN response is used; otherwise parents are walked.
         """
-        name = normalize(name)
         with self._tracking():
             try:
                 result = self._lookup(name, RRType.SOA)

@@ -8,9 +8,11 @@ The codec is table-driven: fixed fields go through precompiled
 ``struct.Struct`` objects, names are written straight into the message
 buffer against one compression table per message, rdata is written in
 place with one branch per record type, and decoding maps type, class,
-opcode and rcode codes through dicts. Names are not normalized here:
-every record and question constructor already does that, and decoding
-goes through those constructors. The bytes are pinned by a copy of the
+opcode and rcode codes through dicts. The encoder writes names as they
+are: every record and question holds them in canonical form. The
+decoder canonicalizes each name it reads once, in :func:`_read_name`,
+and builds questions, records and rdata through their private ``_make``
+constructors, which check nothing. The bytes are pinned by a copy of the
 earlier closure-based codec kept in the tests as the oracle.
 """
 
@@ -34,9 +36,20 @@ from repro.dnssim.records import (
     ResourceRecord,
     SOARecord,
     TXTRecord,
+    _Value,
     encode_ipv4,
 )
 from repro.names.normalize import MAX_LABEL_LENGTH, MAX_NAME_LENGTH, normalize
+
+# The decoder's constructors: its names are canonical, its rdata well formed.
+_make_a = ARecord._make
+_make_aaaa = AAAARecord._make
+_make_ns = NSRecord._make
+_make_cname = CNAMERecord._make
+_make_soa = SOARecord._make
+_make_mx = MXRecord._make
+_make_txt = TXTRecord._make
+_make_rr = ResourceRecord._make
 
 # Fixed-layout fields, compiled once: the header, a question's
 # type/class, an RR's type/class/TTL/RDLENGTH, and the rdata words.
@@ -104,7 +117,8 @@ def _read_name(data: bytes, pos: int) -> tuple[str, int]:
     """Decode the name at ``pos``: ``(name, offset just past it)``.
 
     Compression pointers resolve against the whole message; the name
-    ends where its first pointer or its root label does.
+    ends where its first pointer or its root label does. The name comes
+    back in canonical form, so the caller builds values from it as is.
     """
     labels: list[bytes] = []
     size = len(data)
@@ -137,7 +151,17 @@ def _read_name(data: bytes, pos: int) -> tuple[str, int]:
         if jumps > _MAX_POINTER_CHASES:
             raise MessageFormatError("compression pointer loop")
         pos = (length & 0x3F) << 8 | data[pos + 1]
-    return b".".join(labels).decode("ascii"), (end if end >= 0 else pos + 1)
+    if end < 0:
+        end = pos + 1
+    if not labels:
+        return "", end
+    raw = b".".join(labels)
+    name = raw.decode("ascii")
+    # Lower-case with neither whitespace nor a dot at either end: already
+    # what normalize() returns. Anything else goes through it.
+    if raw.islower() and raw[0] > 0x20 and raw[-1] > 0x2E:
+        return name, end
+    return normalize(name), end
 
 
 def _read_rdata(rrtype: RRType, data: bytes, pos: int, end: int) -> RData:
@@ -146,25 +170,25 @@ def _read_rdata(rrtype: RRType, data: bytes, pos: int, end: int) -> RData:
     if rrtype is RRType.A:
         if end - pos != 4:
             raise MessageFormatError("A rdata must be 4 bytes")
-        return ARecord("%d.%d.%d.%d" % tuple(data[pos:end]))
+        return _make_a("%d.%d.%d.%d" % tuple(data[pos:end]))
     if rrtype is RRType.NS or rrtype is RRType.CNAME:
         name, stop = _read_name(data, pos)
         if stop != end:
             raise MessageFormatError(f"{rrtype.name} name does not fill RDLENGTH")
-        return NSRecord(name) if rrtype is RRType.NS else CNAMERecord(name)
+        return _make_ns(name) if rrtype is RRType.NS else _make_cname(name)
     if rrtype is RRType.SOA:
         mname, stop = _read_name(data, pos)
         rname, stop = _read_name(data, stop)
         if stop + _SOA_FIXED.size != end:
             raise MessageFormatError("SOA rdata does not fill RDLENGTH")
-        return SOARecord(mname, rname, *_SOA_FIXED.unpack_from(data, stop))
+        return _make_soa(mname, rname, *_SOA_FIXED.unpack_from(data, stop))
     if rrtype is RRType.MX:
         if end - pos < 3:
             raise MessageFormatError("MX rdata too short")
         exchange, stop = _read_name(data, pos + 2)
         if stop != end:
             raise MessageFormatError("MX name does not fill RDLENGTH")
-        return MXRecord(_U16.unpack_from(data, pos)[0], exchange)
+        return _make_mx(_U16.unpack_from(data, pos)[0], exchange)
     if rrtype is RRType.TXT:
         chunks: list[bytes] = []
         while pos < end:
@@ -173,31 +197,39 @@ def _read_rdata(rrtype: RRType, data: bytes, pos: int, end: int) -> RData:
                 raise MessageFormatError("TXT chunk runs past RDLENGTH")
             chunks.append(data[pos + 1:stop])
             pos = stop
-        return TXTRecord(b"".join(chunks).decode("utf-8"))
+        return _make_txt(b"".join(chunks).decode("utf-8"))
     if rrtype is RRType.AAAA:
         if end - pos != 16:
             raise MessageFormatError("AAAA rdata must be 16 bytes")
-        return AAAARecord(data[pos:end].rstrip(b"\x00").decode("ascii"))
+        return _make_aaaa(data[pos:end].rstrip(b"\x00").decode("ascii"))
     raise MessageFormatError(f"cannot decode rdata of type {rrtype}")
 
 
-@dataclass(frozen=True)
-class Question:
-    """A question-section entry."""
+@dataclass(frozen=True, slots=True, init=False)
+class Question(_Value):
+    """A question-section entry.
+
+    Like the records, calling the class normalizes ``qname`` and parses
+    ``qtype``; ``_make`` trusts its arguments.
+    """
 
     qname: str
     qtype: RRType
-    qclass: RRClass = RRClass.IN
+    qclass: RRClass
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "qname", normalize(self.qname))
-        object.__setattr__(self, "qtype", RRType.parse(self.qtype))
+    def __new__(
+        cls, qname: str, qtype: RRType, qclass: RRClass = RRClass.IN
+    ) -> "Question":
+        return cls._make(normalize(qname), RRType.parse(qtype), qclass)
 
     def __str__(self) -> str:
         return f"{self.qname or '.'} {self.qclass.name} {self.qtype.name}"
 
 
-@dataclass
+_make_question = Question._make
+
+
+@dataclass(slots=True)
 class DnsMessage:
     """A DNS query or response.
 
@@ -221,17 +253,24 @@ class DnsMessage:
     @classmethod
     def query(cls, qname: str, qtype: RRType, msg_id: int = 0, rd: bool = False) -> "DnsMessage":
         """Build a standard query message."""
-        return cls(id=msg_id, rd=rd, questions=[Question(qname, RRType.parse(qtype))])
+        return cls(id=msg_id, rd=rd, questions=[Question(qname, qtype)])
 
     def response(self, rcode: RCode = RCode.NOERROR, aa: bool = True) -> "DnsMessage":
         """Build an empty response to this query (copies id/question/rd)."""
+        # Positional, in field order, like from_wire.
         return DnsMessage(
-            id=self.id,
-            qr=True,
-            aa=aa,
-            rd=self.rd,
-            rcode=rcode,
-            questions=list(self.questions),
+            self.id,
+            True,
+            Opcode.QUERY,
+            aa,
+            False,
+            self.rd,
+            False,
+            rcode,
+            list(self.questions),
+            [],
+            [],
+            [],
         )
 
     @property
@@ -346,7 +385,7 @@ class DnsMessage:
                 qname, pos = _read_name(data, pos)
                 qtype, qclass = _QUESTION.unpack_from(data, pos)
                 pos += 4
-                questions.append(Question(qname, _RRTYPES[qtype], _RRCLASSES[qclass]))
+                questions.append(_make_question(qname, _RRTYPES[qtype], _RRCLASSES[qclass]))
             for count in (ancount, nscount, arcount):
                 records: list[ResourceRecord] = []
                 for _ in range(count):
@@ -357,7 +396,7 @@ class DnsMessage:
                     if end > size:
                         raise MessageFormatError("rdata runs past end of message")
                     rdata = _read_rdata(_RRTYPES[rrtype], data, pos, end)
-                    records.append(ResourceRecord(name, ttl, rdata, _RRCLASSES[rrclass]))
+                    records.append(_make_rr(name, ttl, rdata, _RRCLASSES[rrclass]))
                     pos = end
                 sections.append(records)
         except KeyError as exc:

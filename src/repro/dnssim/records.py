@@ -1,16 +1,24 @@
 """DNS resource records.
 
 Record data (rdata) classes are immutable and hashable so RRsets can be
-deduplicated and compared. Every constructor normalizes the names it
-holds, so the wire codec in :mod:`repro.dnssim.message` (framing, name
-compression and the per-type rdata layouts) writes them as they are.
+deduplicated and compared. Every value holds its names in canonical form
+(:func:`repro.names.normalize.normalize`), so the wire codec in
+:mod:`repro.dnssim.message` writes them as they are.
+
+Each type has one construction path. ``_make``, one class method shared
+by every type, fills the slots with the values it is given (all of
+them, in field order) and checks nothing. Calling the class is the
+public constructor: it normalizes the names, validates the rdata (an A
+record's address, a record's TTL), fills in the defaults and then calls
+``_make``. The wire decoder, zones and the resolver hold canonical values
+already and call ``_make`` directly (DESIGN.md §8, "Canonical names").
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
+from typing import Any, Callable, ClassVar, TypeVar, Union
 
 from repro.names.normalize import normalize
 
@@ -56,23 +64,55 @@ def encode_ipv4(address: str) -> bytes:
     return packed
 
 
-@dataclass(frozen=True)
-class ARecord:
+_V = TypeVar("_V", bound="_Value")
+
+
+class _Value:
+    """Base of the slotted DNS value classes. Their class call takes the
+    field values, so pickling and copying hand those back to it."""
+
+    __slots__ = ()
+
+    #: The slot setters, in field order. ``dataclass(slots=True)`` builds
+    #: each class a second time with ``__slots__``; that class gets them.
+    _setters: ClassVar[tuple[Callable[[Any, Any], None], ...]] = ()
+
+    def __init_subclass__(cls) -> None:
+        slots = cls.__dict__.get("__slots__", ())
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in slots)
+
+    @classmethod
+    def _make(cls: type[_V], *values: Any) -> _V:
+        """A value from canonical, valid field values (all of them, in
+        field order), checked for nothing."""
+        value = object.__new__(cls)
+        for setter, item in zip(cls._setters, values):
+            setter(value, item)
+        return value
+
+    def __getnewargs__(self) -> tuple:
+        fields = self.__match_args__  # type: ignore[attr-defined]
+        return tuple(getattr(self, name) for name in fields)
+
+
+@dataclass(frozen=True, slots=True, init=False)
+class ARecord(_Value):
     """IPv4 address record."""
 
     address: str
 
-    def __post_init__(self) -> None:
-        encode_ipv4(self.address)  # validate eagerly
-
     rrtype = RRType.A
+
+    def __new__(cls, address: str) -> "ARecord":
+        encode_ipv4(address)  # validate eagerly
+        return cls._make(address)
 
     def __str__(self) -> str:
         return self.address
 
 
-@dataclass(frozen=True)
-class AAAARecord:
+@dataclass(frozen=True, slots=True, init=False)
+class AAAARecord(_Value):
     """IPv6 address record (stored in presentation form, not validated
     beyond basic shape — the simulation routes on opaque address strings)."""
 
@@ -80,42 +120,45 @@ class AAAARecord:
 
     rrtype = RRType.AAAA
 
+    def __new__(cls, address: str) -> "AAAARecord":
+        return cls._make(address)
+
     def __str__(self) -> str:
         return self.address
 
 
-@dataclass(frozen=True)
-class NSRecord:
+@dataclass(frozen=True, slots=True, init=False)
+class NSRecord(_Value):
     """Authoritative nameserver record."""
 
     nsdname: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nsdname", normalize(self.nsdname))
-
     rrtype = RRType.NS
+
+    def __new__(cls, nsdname: str) -> "NSRecord":
+        return cls._make(normalize(nsdname))
 
     def __str__(self) -> str:
         return self.nsdname
 
 
-@dataclass(frozen=True)
-class CNAMERecord:
+@dataclass(frozen=True, slots=True, init=False)
+class CNAMERecord(_Value):
     """Canonical-name alias record."""
 
     target: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "target", normalize(self.target))
-
     rrtype = RRType.CNAME
+
+    def __new__(cls, target: str) -> "CNAMERecord":
+        return cls._make(normalize(target))
 
     def __str__(self) -> str:
         return self.target
 
 
-@dataclass(frozen=True)
-class SOARecord:
+@dataclass(frozen=True, slots=True, init=False)
+class SOARecord(_Value):
     """Start-of-authority record.
 
     ``mname`` (primary master) and ``rname`` (administrator mailbox) are the
@@ -125,17 +168,27 @@ class SOARecord:
 
     mname: str
     rname: str
-    serial: int = 1
-    refresh: int = 7200
-    retry: int = 900
-    expire: int = 1209600
-    minimum: int = 300
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mname", normalize(self.mname))
-        object.__setattr__(self, "rname", normalize(self.rname))
+    serial: int
+    refresh: int
+    retry: int
+    expire: int
+    minimum: int
 
     rrtype = RRType.SOA
+
+    def __new__(
+        cls,
+        mname: str,
+        rname: str,
+        serial: int = 1,
+        refresh: int = 7200,
+        retry: int = 900,
+        expire: int = 1209600,
+        minimum: int = 300,
+    ) -> "SOARecord":
+        return cls._make(
+            normalize(mname), normalize(rname), serial, refresh, retry, expire, minimum
+        )
 
     def __str__(self) -> str:
         return (
@@ -144,29 +197,32 @@ class SOARecord:
         )
 
 
-@dataclass(frozen=True)
-class MXRecord:
+@dataclass(frozen=True, slots=True, init=False)
+class MXRecord(_Value):
     """Mail-exchange record (present for zone realism; unused by heuristics)."""
 
     preference: int
     exchange: str
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exchange", normalize(self.exchange))
-
     rrtype = RRType.MX
+
+    def __new__(cls, preference: int, exchange: str) -> "MXRecord":
+        return cls._make(preference, normalize(exchange))
 
     def __str__(self) -> str:
         return f"{self.preference} {self.exchange}"
 
 
-@dataclass(frozen=True)
-class TXTRecord:
+@dataclass(frozen=True, slots=True, init=False)
+class TXTRecord(_Value):
     """Text record."""
 
     text: str
 
     rrtype = RRType.TXT
+
+    def __new__(cls, text: str) -> "TXTRecord":
+        return cls._make(text)
 
     def __str__(self) -> str:
         return f'"{self.text}"'
@@ -185,19 +241,21 @@ _RDATA_BY_TYPE = {
 }
 
 
-@dataclass(frozen=True)
-class ResourceRecord:
+@dataclass(frozen=True, slots=True, init=False)
+class ResourceRecord(_Value):
     """A complete resource record: owner name, TTL, and typed rdata."""
 
     name: str
     ttl: int
     rdata: RData
-    rrclass: RRClass = RRClass.IN
+    rrclass: RRClass
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "name", normalize(self.name))
-        if self.ttl < 0:
+    def __new__(
+        cls, name: str, ttl: int, rdata: RData, rrclass: RRClass = RRClass.IN
+    ) -> "ResourceRecord":
+        if ttl < 0:
             raise ValueError("TTL must be non-negative")
+        return cls._make(normalize(name), ttl, rdata, rrclass)
 
     @property
     def rrtype(self) -> RRType:

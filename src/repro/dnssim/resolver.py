@@ -4,6 +4,11 @@
 follows referrals and glue, chases CNAME chains across zones, and caches
 positive and negative answers — the behaviour a measurement vantage point's
 recursive resolver exhibits when the paper runs ``dig``.
+
+:meth:`IterativeResolver.lookup` normalizes the name it is asked about;
+from there on every name is canonical (the wire decoder canonicalizes what
+servers send back), so the resolver builds its queries and cache keys
+without normalizing again.
 """
 
 from __future__ import annotations
@@ -18,14 +23,16 @@ from repro.dnssim.errors import (
     ResolutionError,
     ServerUnavailableError,
 )
-from repro.dnssim.message import DnsMessage, RCode
+from repro.dnssim.message import DnsMessage, Question, RCode
 from repro.dnssim.network import DnsNetwork
-from repro.dnssim.records import RRType, ResourceRecord, SOARecord
-from repro.names.normalize import normalize, split_labels
+from repro.dnssim.records import RRClass, RRType, ResourceRecord, SOARecord
+from repro.names.normalize import normalize
 from repro.telemetry.spans import NULL_SPAN
 
 if TYPE_CHECKING:
     from repro.telemetry import Telemetry
+
+_make_question = Question._make
 
 MAX_REFERRALS = 48
 MAX_CNAME_CHAIN = 16
@@ -68,7 +75,7 @@ class ResolverStats:
     retries: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ResolutionResult:
     """The outcome of resolving ``qname``/``qtype``.
 
@@ -146,22 +153,24 @@ class IterativeResolver:
             if tel is not None
             else NULL_SPAN
         )
-        result = ResolutionResult(qname=qname, qtype=qtype, rcode=RCode.NOERROR)
+        result = ResolutionResult(qname, qtype, RCode.NOERROR)
         self._lookup_attempts = 1
         with span as sp:
             try:
                 self._resolve_into(qname, qtype, result, depth=0)
             except ResolutionError as exc:
                 exc.attempts = max(exc.attempts, self._lookup_attempts)
-                sp.set(error=str(exc), attempts=self._lookup_attempts)
+                if tel is not None:
+                    sp.set(error=str(exc), attempts=self._lookup_attempts)
                 raise
             result.attempts = self._lookup_attempts
-            sp.set(
-                rcode=result.rcode.name,
-                attempts=result.attempts,
-                answers=len(result.records),
-                cname_chain=len(result.cname_chain),
-            )
+            if tel is not None:
+                sp.set(
+                    rcode=result.rcode.name,
+                    attempts=result.attempts,
+                    answers=len(result.records),
+                    cname_chain=len(result.cname_chain),
+                )
         return result
 
     def resolve(self, qname: str, qtype: RRType) -> list[ResourceRecord]:
@@ -212,15 +221,16 @@ class IterativeResolver:
         ``result`` updated in place.
         """
         # Cache first.
+        cache = self.cache
         try:
-            cached = self.cache.get(qname, qtype)
+            cached = cache.get(qname, qtype)
         except NegativeCacheHit as neg:
             result.rcode = RCode.NXDOMAIN if neg.nxdomain else RCode.NOERROR
             return None
         if cached:
             result.records.extend(cached)
             return None
-        cached_cname = self.cache.peek(qname, RRType.CNAME)
+        cached_cname = cache._peek((qname, RRType.CNAME))
         if cached_cname and qtype != RRType.CNAME:
             return cached_cname[0].rdata.target  # type: ignore[union-attr]
 
@@ -239,8 +249,8 @@ class IterativeResolver:
                 soa = self._first_soa(response)
                 if soa is not None:
                     result.authority_soa = soa
-                    self.cache.put_negative(
-                        qname, qtype, soa.rdata.minimum, nxdomain=True  # type: ignore[union-attr]
+                    cache._put_negative(
+                        (qname, qtype), soa.rdata.minimum, nxdomain=True  # type: ignore[union-attr]
                     )
                 result.rcode = RCode.NXDOMAIN
                 return None
@@ -254,7 +264,7 @@ class IterativeResolver:
             answers = [r for r in response.answers if r.name == qname]
             typed = [r for r in answers if r.rrtype == qtype]
             if typed:
-                self.cache.put(qname, qtype, typed)
+                cache._put((qname, qtype), typed)
                 result.records.extend(typed)
                 return None
             cnames = [r for r in answers if r.rrtype == RRType.CNAME]
@@ -273,10 +283,10 @@ class IterativeResolver:
                 if tel is not None:
                     tel.diag("dns.referrals")
                     tel.event("dns.referral", "dns", zone=zone_cut or ".")
-                self.cache.put(zone_cut, RRType.NS, ns_records)
+                cache._put((zone_cut, RRType.NS), ns_records)
                 for glue in response.additionals:
                     if glue.rrtype in (RRType.A, RRType.AAAA):
-                        self.cache.put(glue.name, glue.rrtype, [glue])
+                        cache._put((glue.name, glue.rrtype), [glue])
                 server_ips = self._addresses_for_ns(ns_records, response, depth)
                 if not server_ips:
                     self.stats.failures += 1
@@ -289,8 +299,8 @@ class IterativeResolver:
             soa = self._first_soa(response)
             if soa is not None:
                 result.authority_soa = soa
-                self.cache.put_negative(
-                    qname, qtype, soa.rdata.minimum, nxdomain=False  # type: ignore[union-attr]
+                cache._put_negative(
+                    (qname, qtype), soa.rdata.minimum, nxdomain=False  # type: ignore[union-attr]
                 )
             result.rcode = RCode.NOERROR
             return None
@@ -303,8 +313,8 @@ class IterativeResolver:
         groups: dict[tuple[str, RRType], list[ResourceRecord]] = {}
         for rr in response.answers:
             groups.setdefault((rr.name, rr.rrtype), []).append(rr)
-        for (name, rrtype), records in groups.items():
-            self.cache.put(name, rrtype, records)
+        for key, records in groups.items():
+            self.cache._put(key, records)
 
     def _first_soa(self, response: DnsMessage) -> Optional[ResourceRecord]:
         for rr in response.authorities:
@@ -351,7 +361,9 @@ class IterativeResolver:
                 self._last_failure = "query timeout budget exhausted"
                 break
             for ip in server_ips:
-                query = DnsMessage.query(qname, qtype, msg_id=self._next_id())
+                query = DnsMessage(
+                    self._next_id(), questions=[_make_question(qname, qtype, RRClass.IN)]
+                )
                 try:
                     wire = self._network.send(
                         ip, query.to_wire(), self.region, attempt=attempt
@@ -396,22 +408,22 @@ class IterativeResolver:
 
     def _closest_known_servers(self, qname: str, depth: int) -> list[str]:
         """Start from the deepest cached delegation covering ``qname``."""
-        labels = split_labels(qname)
-        for i in range(len(labels)):
-            zone = ".".join(labels[i:])
-            ns_records = self.cache.peek(zone, RRType.NS)
-            if not ns_records:
-                continue
-            ips = self._cached_ns_addresses(ns_records)
-            if ips:
-                return ips
+        peek = self.cache._peek
+        zone = qname
+        while zone:  # the name, then each ancestor; the root is the hints
+            ns_records = peek((zone, RRType.NS))
+            if ns_records:
+                ips = self._cached_ns_addresses(ns_records)
+                if ips:
+                    return ips
+            zone = zone.partition(".")[2]
         return list(self._root_hints.values())
 
     def _cached_ns_addresses(self, ns_records: list[ResourceRecord]) -> list[str]:
         ips: list[str] = []
         for rr in ns_records:
             nsname = rr.rdata.nsdname  # type: ignore[union-attr]
-            for cached in self.cache.peek(nsname, RRType.A) or []:
+            for cached in self.cache._peek((nsname, RRType.A)) or ():
                 ips.append(cached.rdata.address)  # type: ignore[union-attr]
         return ips
 
@@ -440,7 +452,7 @@ class IterativeResolver:
             return ips
         for nsname in unglued:
             # Served by the cache after the first referral for this zone.
-            cached = self.cache.peek(nsname, RRType.A)
+            cached = self.cache._peek((nsname, RRType.A))
             if cached is not None:
                 ips.extend(rr.rdata.address for rr in cached)  # type: ignore[union-attr]
                 continue
@@ -453,7 +465,7 @@ class IterativeResolver:
             )
             if tel is not None:
                 tel.diag("dns.glueless_lookups")
-            sub = ResolutionResult(qname=nsname, qtype=RRType.A, rcode=RCode.NOERROR)
+            sub = ResolutionResult(nsname, RRType.A, RCode.NOERROR)
             with span as sp:
                 try:
                     self._resolve_into(nsname, RRType.A, sub, depth + 1)

@@ -2,7 +2,9 @@
 
 An :class:`AuthoritativeServer` serves one or more zones from one or more
 IP addresses. It consumes and produces wire-format messages so the whole
-query path (resolver → network → server) exercises the codec.
+query path (resolver → network → server) exercises the codec. Decoded
+questions hold canonical names, so answering one normalizes nothing but
+the name :meth:`AuthoritativeServer.zone_for` is asked about.
 """
 
 from __future__ import annotations
@@ -54,9 +56,13 @@ class AuthoritativeServer:
         O(zones served), which matters for shared nameservers hosting a
         zone per customer.
         """
-        name = normalize(qname)
+        return self._zone_for(normalize(qname))
+
+    def _zone_for(self, name: str) -> Optional[Zone]:
+        """:meth:`zone_for` for a canonical name."""
+        zones = self._zones
         while True:
-            zone = self._zones.get(name)
+            zone = zones.get(name)
             if zone is not None or not name:
                 return zone
             name = name.partition(".")[2]
@@ -82,27 +88,28 @@ class AuthoritativeServer:
         if zone is None:
             return query.response(RCode.REFUSED, aa=False)
 
-        result = zone.lookup(question.qname, question.qtype, region)
+        result = zone._lookup(question.qname, question.qtype, region)
         response = query.response()
 
-        if result.kind == LookupKind.ANSWER:
+        kind = result.kind
+        if kind is LookupKind.ANSWER:
             response.answers.extend(result.records)
             if question.qtype == RRType.NS:
                 response.additionals.extend(
                     self._glue_for(zone, result.records)
                 )
-        elif result.kind == LookupKind.CNAME:
+        elif kind is LookupKind.CNAME:
             response.answers.extend(result.records)
             # Authoritative servers chase CNAMEs within zones they serve.
             target = result.records[0].rdata.target  # type: ignore[union-attr]
             self._chase_cname(target, question.qtype, response, depth=0, region=region)
-        elif result.kind == LookupKind.DELEGATION:
+        elif kind is LookupKind.DELEGATION:
             response.aa = False
             response.authorities.extend(result.authority)
             response.additionals.extend(result.glue)
-        elif result.kind == LookupKind.NODATA:
+        elif kind is LookupKind.NODATA:
             response.authorities.extend(result.authority)
-        elif result.kind == LookupKind.NXDOMAIN:
+        elif kind is LookupKind.NXDOMAIN:
             response.rcode = RCode.NXDOMAIN
             response.authorities.extend(result.authority)
         return response
@@ -118,13 +125,13 @@ class AuthoritativeServer:
         """Append in-bailiwick CNAME-chain records to the response."""
         if depth > 8:
             return
-        zone = self.zone_for(target)
+        zone = self._zone_for(target)
         if zone is None:
             return
-        result = zone.lookup(target, qtype, region)
-        if result.kind == LookupKind.ANSWER:
+        result = zone._lookup(target, qtype, region)
+        if result.kind is LookupKind.ANSWER:
             response.answers.extend(result.records)
-        elif result.kind == LookupKind.CNAME:
+        elif result.kind is LookupKind.CNAME:
             response.answers.extend(result.records)
             next_target = result.records[0].rdata.target  # type: ignore[union-attr]
             self._chase_cname(next_target, qtype, response, depth + 1, region)
@@ -136,7 +143,7 @@ class AuthoritativeServer:
         glue: list[ResourceRecord] = []
         for rr in ns_records:
             nsname = rr.rdata.nsdname  # type: ignore[union-attr]
-            target_zone = self.zone_for(nsname)
+            target_zone = self._zone_for(nsname)
             if target_zone is None:
                 continue
             for rrtype in (RRType.A, RRType.AAAA):

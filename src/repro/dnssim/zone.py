@@ -3,6 +3,10 @@
 A :class:`Zone` owns a subtree of the namespace rooted at ``origin`` and
 answers lookups with the same outcome categories a real authoritative
 server produces: answer, CNAME, referral (delegation), NXDOMAIN, NODATA.
+
+The public methods normalize the names they are given; the server answers
+decoded (already canonical) questions through :meth:`Zone._lookup`, which
+does not.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from repro.dnssim.records import (
     ResourceRecord,
     SOARecord,
 )
-from repro.names.normalize import normalize, split_labels
+from repro.names.normalize import normalize
 
 DEFAULT_TTL = 300
+
+_make_rr = ResourceRecord._make
 
 #: Every record type, for per-type key probes (iterating the enum class
 #: itself is much slower than iterating a tuple).
@@ -43,7 +49,7 @@ class LookupKind(enum.Enum):
     NODATA = "nodata"
 
 
-@dataclass
+@dataclass(slots=True)
 class LookupResult:
     """Result of :meth:`Zone.lookup`."""
 
@@ -69,6 +75,7 @@ class Zone:
         # default answer for clients resolving from that region.
         self._regional: dict[tuple[str, str, RRType], list[ResourceRecord]] = {}
         self._names: set[str] = {self.origin}
+        self._origin_depth = self.origin.count(".") + 1 if self.origin else 0
         self.add(self.origin, soa, ttl=soa_ttl)
 
     # -- construction ------------------------------------------------------
@@ -83,7 +90,7 @@ class Zone:
         """Replace the zone's SOA (operators change DNS identity on
         migration; the materializer uses this for provider-masked SOAs)."""
         self._records[(self.origin, RRType.SOA)] = [
-            ResourceRecord(self.origin, ttl, soa)
+            ResourceRecord(self.origin, ttl, soa)  # checks the TTL
         ]
 
     def add(self, name: str, rdata: RData, ttl: int = DEFAULT_TTL) -> ResourceRecord:
@@ -92,10 +99,10 @@ class Zone:
         CNAME exclusivity is enforced: a CNAME owner may hold no other data,
         matching RFC 1034 and mattering for the CDN measurement path.
         """
-        name = normalize(name)
+        rr = ResourceRecord(name, ttl, rdata)  # normalizes, checks the TTL
+        name = rr.name
         if not self._in_zone(name):
             raise ZoneError(f"{name!r} is outside zone {self.origin!r}")
-        rr = ResourceRecord(name, ttl, rdata)
         key = (name, rr.rrtype)
         if rr.rrtype == RRType.CNAME and any(
             t != RRType.CNAME for t in self._types_at(name)
@@ -123,10 +130,10 @@ class Zone:
         type) — the mechanism behind region-specific CDN mappings, which a
         single-vantage measurement cannot see (the paper's §3.5 limitation).
         """
-        name = normalize(name)
+        rr = ResourceRecord(name, ttl, rdata)
+        name = rr.name
         if not self._in_zone(name):
             raise ZoneError(f"{name!r} is outside zone {self.origin!r}")
-        rr = ResourceRecord(name, ttl, rdata)
         key = (region, name, rr.rrtype)
         self._regional.setdefault(key, [])
         if rr not in self._regional[key]:
@@ -169,14 +176,12 @@ class Zone:
         """RFC 1034 wildcard: ``*.parent`` synthesizes records for ``name``."""
         if name in self._names:
             return []  # an existing name suppresses wildcard synthesis
-        labels = split_labels(name)
+        labels = name.split(".")
         for i in range(1, len(labels)):
             candidate = "*." + ".".join(labels[i:])
             source = self._records.get((candidate, rrtype))
             if source:
-                return [
-                    ResourceRecord(name, rr.ttl, rr.rdata) for rr in source
-                ]
+                return [_make_rr(name, rr.ttl, rr.rdata, rr.rrclass) for rr in source]
             # A non-wildcard name closer to the qname blocks expansion.
             if ".".join(labels[i:]) in self._names:
                 break
@@ -184,11 +189,10 @@ class Zone:
 
     def _delegation_point(self, qname: str) -> Optional[str]:
         """The nearest zone cut at or above ``qname`` (strictly below origin)."""
-        labels = split_labels(qname)
-        origin_depth = len(split_labels(self.origin))
+        labels = qname.split(".") if qname else []
         # Walk from just below the origin towards the qname, so the topmost
         # cut wins (a cut makes everything beneath it non-authoritative).
-        for i in range(len(labels) - origin_depth - 1, -1, -1):
+        for i in range(len(labels) - self._origin_depth - 1, -1, -1):
             candidate = ".".join(labels[i:])
             if candidate != self.origin and (candidate, RRType.NS) in self._records:
                 return candidate
@@ -208,47 +212,52 @@ class Zone:
         ``region`` selects GeoDNS views: regional records override the
         default answer for clients resolving from that region.
         """
-        qname = normalize(qname)
-        qtype = RRType.parse(qtype)
+        return self._lookup(normalize(qname), RRType.parse(qtype), region)
+
+    def _lookup(
+        self, qname: str, qtype: RRType, region: Optional[str]
+    ) -> LookupResult:
+        """:meth:`lookup` for a canonical ``qname`` and an ``RRType``."""
         if not self._in_zone(qname):
             raise ZoneError(f"{qname!r} is outside zone {self.origin!r}")
+        records = self._records
 
         if region is not None:
-            regional = self.regional_records_at(qname, qtype, region)
+            regional = self._regional.get((region, qname, qtype))
             if regional:
-                return LookupResult(LookupKind.ANSWER, records=regional)
-            regional_cname = self.regional_records_at(qname, RRType.CNAME, region)
+                return LookupResult(LookupKind.ANSWER, list(regional))
+            regional_cname = self._regional.get((region, qname, RRType.CNAME))
             if regional_cname and qtype != RRType.CNAME:
-                return LookupResult(LookupKind.CNAME, records=regional_cname)
+                return LookupResult(LookupKind.CNAME, list(regional_cname))
 
         cut = self._delegation_point(qname)
         if cut is not None:
-            ns_records = self._records[(cut, RRType.NS)]
+            ns_records = records[(cut, RRType.NS)]
             glue: list[ResourceRecord] = []
             for rr in ns_records:
                 nsname = rr.rdata.nsdname  # type: ignore[union-attr]
                 for glue_type in (RRType.A, RRType.AAAA):
-                    glue.extend(self._records.get((nsname, glue_type), []))
+                    glue.extend(records.get((nsname, glue_type), ()))
             return LookupResult(
                 LookupKind.DELEGATION, authority=list(ns_records), glue=glue
             )
 
-        exact = self.records_at(qname, qtype)
+        exact = records.get((qname, qtype))
         if exact:
-            return LookupResult(LookupKind.ANSWER, records=exact)
+            return LookupResult(LookupKind.ANSWER, list(exact))
 
-        cname = self.records_at(qname, RRType.CNAME)
+        cname = records.get((qname, RRType.CNAME))
         if cname and qtype != RRType.CNAME:
-            return LookupResult(LookupKind.CNAME, records=list(cname))
+            return LookupResult(LookupKind.CNAME, list(cname))
 
         wildcard = self._wildcard_match(qname, qtype)
         if wildcard:
-            return LookupResult(LookupKind.ANSWER, records=wildcard)
+            return LookupResult(LookupKind.ANSWER, wildcard)
         wildcard_cname = self._wildcard_match(qname, RRType.CNAME)
         if wildcard_cname and qtype != RRType.CNAME:
-            return LookupResult(LookupKind.CNAME, records=wildcard_cname)
+            return LookupResult(LookupKind.CNAME, wildcard_cname)
 
-        soa_rr = self._records[(self.origin, RRType.SOA)][0]
+        soa_rr = records[(self.origin, RRType.SOA)][0]
         if self._name_exists(qname) or any(
             n.startswith("*.") and qname.endswith(n[1:]) for n in self._names
         ):

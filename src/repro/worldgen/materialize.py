@@ -46,6 +46,11 @@ _TLD_SERVER_NAME = "a.gtld-servers.net"
 _ROOT_SERVER_NAME = "a.root-servers.net"
 
 
+#: Every A record here points at an :class:`IpAllocator` address, a
+#: well-formed dotted quad, so it is built without re-validation.
+_a_record = ARecord._make
+
+
 class IpAllocator:
     """Sequential 10.0.0.0/8 address allocation."""
 
@@ -205,7 +210,7 @@ class Materializer:
             _TLD_SERVER_NAME, [tld_ip], operator="registry"
         )
         self.dns_network.register_server(self._tld_server)
-        self._root_zone.add(_ROOT_SERVER_NAME, ARecord(root_ip))
+        self._root_zone.add(_ROOT_SERVER_NAME, _a_record(root_ip))
 
     def _tld_zone(self, suffix: str) -> Zone:
         zone = self._tld_zones.get(suffix)
@@ -218,7 +223,7 @@ class Materializer:
             self._tld_server.serve_zone(zone)
             self._root_zone.add(suffix, NSRecord(_TLD_SERVER_NAME))
             self._root_zone.add(
-                _TLD_SERVER_NAME, ARecord(self._tld_server.ips[0])
+                _TLD_SERVER_NAME, _a_record(self._tld_server.ips[0])
             )
         return zone
 
@@ -236,7 +241,7 @@ class Materializer:
                     for server in infra.servers:
                         if server.name == ns_hostname:
                             for ip in server.ips:
-                                tld_zone.add(ns_hostname, ARecord(ip))
+                                tld_zone.add(ns_hostname, _a_record(ip))
 
     def _new_zone(
         self,
@@ -323,7 +328,7 @@ class Materializer:
             for server in servers:
                 if server.name.endswith("." + base) or server.name == base:
                     for ip_addr in server.ips:
-                        zone.add(server.name, ARecord(ip_addr))
+                        zone.add(server.name, _a_record(ip_addr))
         return infra
 
     def _build_dns_provider(self, provider: DnsProviderSpec) -> None:
@@ -418,10 +423,10 @@ class Materializer:
             # _new_zone attaches NS records and the TLD delegation even when
             # the private-leg infra pre-created the zone object.
             zone = self._new_zone(origin, infras, soa_identity=mask)
-            zone.add(f"*.{suffix}", ARecord(edge_ips[0]))
-            zone.add(f"*.{suffix}", ARecord(edge_ips[1]))
+            zone.add(f"*.{suffix}", _a_record(edge_ips[0]))
+            zone.add(f"*.{suffix}", _a_record(edge_ips[1]))
             if suffix != origin:
-                zone.add(suffix, ARecord(edge_ips[0]))
+                zone.add(suffix, _a_record(edge_ips[0]))
         self._cdn_infra[cdn.key] = CdnInfra(
             spec=cdn, provider=provider, edge_server=edge_server, dns_infras=infras
         )
@@ -476,10 +481,10 @@ class Materializer:
                 crl_zone.add(ca_spec.crl_host, CNAMERecord(deployment.edge_hostname))
         else:
             service_server.add_vhost(VirtualHost(ca_spec.ocsp_host, ocsp_handler))
-            zone.add(ca_spec.ocsp_host, ARecord(service_server.ips[0]))
+            zone.add(ca_spec.ocsp_host, _a_record(service_server.ips[0]))
             if ca_spec.crl_host != ca_spec.ocsp_host:
                 service_server.add_vhost(VirtualHost(ca_spec.crl_host, crl_handler))
-                crl_zone.add(ca_spec.crl_host, ARecord(service_server.ips[0]))
+                crl_zone.add(ca_spec.crl_host, _a_record(service_server.ips[0]))
             else:
                 service_server.add_vhost(VirtualHost(ca_spec.crl_host, crl_handler))
 
@@ -557,7 +562,7 @@ class Materializer:
             infra = self._private_infra_for(f"ext:{domain}", domain, domain)
             zone = self._new_zone(domain, [infra])
             for host in (domain, f"cdn.{domain}", f"static.{domain}"):
-                zone.add(host, ARecord(server.ips[0]))
+                zone.add(host, _a_record(server.ips[0]))
                 server.add_vhost(
                     VirtualHost(host, _static_object_handler(domain))
                 )
@@ -592,8 +597,8 @@ class Materializer:
         # identity; the website's intended SOA always wins.
         zone.set_soa(SOARecord(mask[0], mask[1]))
         origin_ip = origin_server.ips[0]
-        zone.add(domain, ARecord(origin_ip))
-        zone.add(f"www.{domain}", ARecord(origin_ip))
+        zone.add(domain, _a_record(origin_ip))
+        zone.add(f"www.{domain}", _a_record(origin_ip))
 
         # Certificate.
         chain: Optional[CertificateChain] = None
@@ -608,8 +613,8 @@ class Materializer:
                     if base == domain:
                         origin_server.add_vhost(VirtualHost(ca_infra.ca.ocsp_host, ocsp_handler))
                         origin_server.add_vhost(VirtualHost(ca_infra.ca.crl_host, crl_handler))
-                        zone.add(ca_infra.ca.ocsp_host, ARecord(origin_ip))
-                        zone.add(ca_infra.ca.crl_host, ARecord(origin_ip))
+                        zone.add(ca_infra.ca.ocsp_host, _a_record(origin_ip))
+                        zone.add(ca_infra.ca.crl_host, _a_record(origin_ip))
                         ca_infra.service_server = origin_server
             else:
                 ca_infra = self._ca_infra[website.ca_key]
@@ -650,7 +655,7 @@ class Materializer:
                 )
             )
         for host in resource_hosts["origin"]:
-            zone.add(host, ARecord(origin_ip))
+            zone.add(host, _a_record(origin_ip))
             origin_server.add_vhost(
                 VirtualHost(host, _static_object_handler(domain), chain=chain)
             )
@@ -728,7 +733,7 @@ class Materializer:
                 host = f"static{i}.{domain}"
                 zone.add(host, CNAMERecord(f"cdn-origin.{domain}"))
                 if f"cdn-origin.{domain}" not in zone:
-                    zone.add(f"cdn-origin.{domain}", ARecord(origin_ip))
+                    zone.add(f"cdn-origin.{domain}", _a_record(origin_ip))
                 hosts["origin"].append(f"cdn-origin.{domain}")
             else:
                 host = f"img{i}.{domain}"

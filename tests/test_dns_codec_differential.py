@@ -11,7 +11,10 @@ being module functions) and pins the new one to it:
 * generated messages over all seven record types encode to the
   oracle's bytes and round-trip;
 * a damaged message the new decoder accepts is one the oracle accepts
-  with the same result (the new decoder is stricter, never looser).
+  with the same result (the new decoder is stricter, never looser);
+* wire names the decoder has to canonicalize (mixed-case label bytes,
+  whitespace or dots at a name's ends) decode as under the oracle, whose
+  record and question constructors normalize every name they are given.
 """
 
 from __future__ import annotations
@@ -322,13 +325,28 @@ class TestCampaignTraffic:
 
 # -- generated messages over all seven record types ---------------------------
 
-_label = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_", min_size=1, max_size=20)
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+_label = st.text(
+    alphabet=_LETTERS + _LETTERS.upper() + "0123456789-_", min_size=1, max_size=20
+)
 # Few distinct suffixes, so names share them and compression kicks in.
-_suffix = st.sampled_from(["", "example.com", "cdn.example.com", "net", "a.b.c.org"])
+_suffix = st.sampled_from(
+    ["", "example.com", "Example.COM", "cdn.example.com", "net", "a.b.c.org"]
+)
+# Characters str.strip() removes; \x1c-\x1f are ones bytes.strip() keeps.
+_SPACE = " \t\n\r\x0b\x0c\x1c\x1f"
+# Presentation names as callers spell them: mixed case, optionally
+# wrapped in whitespace and ending in a dot. The constructors normalize
+# them; the wire carries the canonical form.
 _names = st.builds(
-    lambda labels, suffix: ".".join([*labels, suffix] if suffix else labels) or suffix,
+    lambda lead, labels, suffix, dot, trail: (
+        lead + ".".join([*labels, suffix] if suffix else labels) + dot + trail
+    ),
+    st.text(alphabet=_SPACE, max_size=2),
     st.lists(_label, min_size=0, max_size=3),
     _suffix,
+    st.sampled_from(["", "."]),
+    st.text(alphabet=_SPACE, max_size=2),
 )
 _u32 = st.integers(0, 2**32 - 1)
 _ipv4 = st.tuples(*[st.integers(0, 255)] * 4).map(lambda o: "%d.%d.%d.%d" % o)
@@ -393,3 +411,66 @@ class TestDamagedMessages:
             return
         assert decoded == reference_from_wire(damaged)
 
+
+
+# -- names the decoder has to canonicalize -----------------------------------
+
+_SPACE_BYTES = [c.encode() for c in _SPACE]
+_raw_label = st.one_of(
+    _label, st.text(alphabet=_LETTERS + "0123456789-_", min_size=1, max_size=20)
+).map(str.encode)
+# What a name's last label may end in, canonical ending first.
+_raw_tail = st.one_of(
+    st.just(b""), st.sampled_from([b".", b". ", b" .", b"..", *_SPACE_BYTES])
+)
+
+
+@st.composite
+def _raw_names(draw) -> list[bytes]:
+    """Wire labels of one name, lower or mixed case, with whitespace or
+    dots inside the labels at the name's ends."""
+    labels = draw(st.lists(_raw_label, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        labels[0] = draw(st.sampled_from(_SPACE_BYTES)) + labels[0]
+    labels[-1] += draw(_raw_tail)
+    return labels
+
+
+def _wire_name(labels: list[bytes]) -> bytes:
+    return b"".join(bytes([len(label)]) + label for label in labels) + b"\x00"
+
+
+@st.composite
+def _raw_messages(draw) -> bytes:
+    """A response whose question name and whose answer's owner and
+    target names are spelled as the labels drawn; the answer's owner is
+    a compression pointer to the question name or its own labels."""
+    qname = _wire_name(draw(_raw_names()))
+    rrtype = draw(st.sampled_from([RRType.CNAME, RRType.NS, RRType.MX, RRType.SOA]))
+    if rrtype is RRType.SOA:
+        rdata = (
+            _wire_name(draw(_raw_names()))
+            + _wire_name(draw(_raw_names()))
+            + struct.pack("!IIIII", 1, 2, 3, 4, 5)
+        )
+    elif rrtype is RRType.MX:
+        rdata = struct.pack("!H", 10) + _wire_name(draw(_raw_names()))
+    else:
+        rdata = _wire_name(draw(_raw_names()))
+    owner = b"\xc0\x0c" if draw(st.booleans()) else _wire_name(draw(_raw_names()))
+    return (
+        _HEADER.pack(draw(st.integers(0, 0xFFFF)), 0x8400, 1, 1, 0, 0)
+        + qname
+        + struct.pack("!HH", RRType.A, RRClass.IN)
+        + owner
+        + struct.pack("!HHIH", rrtype, RRClass.IN, 300, len(rdata))
+        + rdata
+    )
+
+
+class TestNonCanonicalWireNames:
+    @given(wire=_raw_messages())
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.too_slow])
+    def test_decoder_canonicalizes_like_the_oracle(self, wire):
+        decoded = DnsMessage.from_wire(wire)
+        assert decoded == reference_from_wire(wire)
