@@ -2,10 +2,10 @@
 
 :class:`DnsNetwork` routes wire-format queries to the server listening on a
 destination IP and models availability faults — the mechanism behind every
-outage experiment (a Dyn-style DDoS is "these IPs stop answering"). An
-installed :class:`~repro.faults.injector.FaultInjector` additionally
-perturbs individual queries: drops, SERVFAIL/REFUSED, truncation, lame
-responses, and slow servers (simulated-clock delays).
+outage experiment (a Dyn-style DDoS is "these IPs stop answering"). A
+sender's :class:`~repro.faults.injector.FaultInjector` additionally
+perturbs its individual queries: drops, SERVFAIL/REFUSED, truncation,
+lame responses, and slow servers (delays on the sender's clock).
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ class DnsNetwork:
     def __init__(self) -> None:
         self._hosts: dict[str, AuthoritativeServer] = {}
         self._down_ips: set[str] = set()
-        self._fault_injector: Optional[FaultInjector] = None
-        self._fault_clock: Optional[SimulatedClock] = None
-        self.queries_sent = 0
-        self.timeouts = 0
 
     # -- topology ----------------------------------------------------------
 
@@ -73,16 +69,6 @@ class DnsNetwork:
         """IPs currently failing (for experiment bookkeeping)."""
         return set(self._down_ips)
 
-    def install_faults(
-        self, injector: Optional[FaultInjector], clock: Optional[SimulatedClock]
-    ) -> None:
-        """Attach (or with ``None`` detach) a fault injector.
-
-        ``clock`` is the simulation clock slow-server faults advance.
-        """
-        self._fault_injector = injector
-        self._fault_clock = clock if injector is not None else None
-
     # -- transport ---------------------------------------------------------
 
     def send(
@@ -91,67 +77,71 @@ class DnsNetwork:
         wire_query: bytes,
         region: Optional[str] = None,
         attempt: int = 0,
+        injector: Optional[FaultInjector] = None,
+        clock: Optional[SimulatedClock] = None,
     ) -> bytes:
         """Deliver a wire query to ``ip`` and return the wire response.
 
         ``region`` tags the querying resolver's vantage (GeoDNS views);
         ``attempt`` is the sender's retry round, keying per-attempt fault
         draws so a retried query re-rolls its fate deterministically.
-        Raises :class:`ServerUnavailableError` when nothing (or nothing
-        healthy) listens there — the resolver sees a timeout.
+        ``injector`` is the sender's fault injector, if any, and ``clock``
+        the sender's clock, which slow-server faults advance. Raises
+        :class:`ServerUnavailableError` when nothing (or nothing healthy)
+        listens there — the resolver sees a timeout.
         """
-        self.queries_sent += 1
         server = self._hosts.get(ip)
         if server is None or ip in self._down_ips:
-            self.timeouts += 1
             raise ServerUnavailableError(ip)
-        if self._fault_injector is None:
+        if injector is None:
             return server.handle_wire(wire_query, region)
-        return self._send_with_faults(server, ip, wire_query, region, attempt)
-
-    def _send_with_faults(
-        self,
-        server: AuthoritativeServer,
-        ip: str,
-        wire_query: bytes,
-        region: Optional[str],
-        attempt: int,
-    ) -> bytes:
-        """Decode the query once, apply the drawn fault to the decoded
-        message, and encode the outcome once."""
-        assert self._fault_injector is not None
-        query = DnsMessage.from_wire(wire_query)
-        question = query.question
-        qname = question.qname if question is not None else ""
-        qtype = question.qtype.name if question is not None else ""
-        rule = self._fault_injector.dns_fault(server.name, ip, qname, qtype, attempt)
-        if rule is None:
-            return server.handle(query, region).to_wire()
-        if rule.kind == "drop":
-            self.timeouts += 1
-            raise ServerUnavailableError(ip)
-        if rule.kind == "slow":
-            if self._fault_clock is not None:
-                self._fault_clock.advance(rule.delay)
-            return server.handle(query, region).to_wire()
-        if rule.kind == "servfail":
-            return query.response(RCode.SERVFAIL, aa=False).to_wire()
-        if rule.kind == "refused":
-            return query.response(RCode.REFUSED, aa=False).to_wire()
-        if rule.kind == "lame":
-            # Answers, but knows nothing: not authoritative, no referral.
-            return query.response(RCode.NOERROR, aa=False).to_wire()
-        # truncate: the real response with TC set and sections clipped,
-        # exactly what an oversized UDP answer looks like to a stub.
-        response = server.handle(query, region)
-        response.tc = True
-        response.answers = []
-        response.authorities = []
-        response.additionals = []
-        return response.to_wire()
+        return _send_with_faults(
+            server, ip, wire_query, region, attempt, injector, clock
+        )
 
     def __repr__(self) -> str:
         return (
             f"DnsNetwork({len(self._hosts)} listeners, "
             f"{len(self._down_ips)} down)"
         )
+
+
+def _send_with_faults(
+    server: AuthoritativeServer,
+    ip: str,
+    wire_query: bytes,
+    region: Optional[str],
+    attempt: int,
+    injector: FaultInjector,
+    clock: Optional[SimulatedClock],
+) -> bytes:
+    """Decode the query once, apply the drawn fault to the decoded
+    message, and encode the outcome once."""
+    query = DnsMessage.from_wire(wire_query)
+    question = query.question
+    qname = question.qname if question is not None else ""
+    qtype = question.qtype.name if question is not None else ""
+    rule = injector.dns_fault(server.name, ip, qname, qtype, attempt)
+    if rule is None:
+        return server.handle(query, region).to_wire()
+    if rule.kind == "drop":
+        raise ServerUnavailableError(ip)
+    if rule.kind == "slow":
+        if clock is not None:
+            clock.advance(rule.delay)
+        return server.handle(query, region).to_wire()
+    if rule.kind == "servfail":
+        return query.response(RCode.SERVFAIL, aa=False).to_wire()
+    if rule.kind == "refused":
+        return query.response(RCode.REFUSED, aa=False).to_wire()
+    if rule.kind == "lame":
+        # Answers, but knows nothing: not authoritative, no referral.
+        return query.response(RCode.NOERROR, aa=False).to_wire()
+    # truncate: the real response with TC set and sections clipped,
+    # exactly what an oversized UDP answer looks like to a stub.
+    response = server.handle(query, region)
+    response.tc = True
+    response.answers = []
+    response.authorities = []
+    response.additionals = []
+    return response.to_wire()

@@ -26,6 +26,7 @@ from repro.dnssim.errors import (
 from repro.dnssim.message import DnsMessage, Question, RCode
 from repro.dnssim.network import DnsNetwork
 from repro.dnssim.records import RRClass, RRType, ResourceRecord, SOARecord
+from repro.faults.injector import FaultInjector
 from repro.names.normalize import normalize
 from repro.telemetry.spans import NULL_SPAN
 
@@ -121,10 +122,12 @@ class IterativeResolver:
         cache: Optional[DnsCache] = None,
         region: Optional[str] = None,
         retry_policy: Optional[RetryPolicy] = None,
+        injector: Optional[FaultInjector] = None,
     ):
         if not root_hints:
             raise ValueError("resolver needs at least one root hint")
         self.region = region  # the vantage point (GeoDNS views)
+        self.injector = injector  # the vantage's faults, sent with each query
         self._network = network
         self._root_hints = dict(root_hints)
         self._clock = clock or SimulatedClock()
@@ -366,7 +369,8 @@ class IterativeResolver:
                 )
                 try:
                     wire = self._network.send(
-                        ip, query.to_wire(), self.region, attempt=attempt
+                        ip, query.to_wire(), self.region, attempt,
+                        self.injector, self._clock,
                     )
                 except ServerUnavailableError:
                     self._last_failure = "no reachable authoritative servers"

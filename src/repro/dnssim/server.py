@@ -37,7 +37,6 @@ class AuthoritativeServer:
             raise ValueError("a server needs at least one IP")
         self.operator = operator
         self._zones: dict[str, Zone] = {}
-        self.queries_handled = 0
 
     def serve_zone(self, zone: Zone) -> None:
         """Attach a zone to this server."""
@@ -80,7 +79,6 @@ class AuthoritativeServer:
         ``region`` is the resolver's vantage (an EDNS-client-subnet
         analogue) and selects any GeoDNS views the zone defines.
         """
-        self.queries_handled += 1
         question = query.question
         if question is None:
             return query.response(RCode.FORMERR, aa=False)

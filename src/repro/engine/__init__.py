@@ -18,8 +18,8 @@ A pool worker rebuilds its world from a picklable recipe: the
 epoch.
 
 ``run_campaign`` runs every snapshot campaign, ``analyze_world``'s
-included, and owns the world's fault injector: installed for the run,
-cleared when the run returns or raises.
+included. A campaign's clock and fault injector belong to its own
+vantage, never to the world, so a run leaves its world as it found it.
 
 The contract is determinism: for a fixed world fingerprint
 (n/seed/year/region/limit), the merged dataset serializes to the
@@ -118,8 +118,10 @@ def run_campaign(
     raising :class:`StaleCheckpointError` on any mismatch. A non-empty
     ``fault_plan`` threads seeded fault injection through every worker's
     world; the plan's digest joins the fingerprint, so a checkpoint from
-    one plan refuses shards measured under another. Whether the run
-    returns or raises, it leaves ``world`` with no fault injector.
+    one plan refuses shards measured under another. The plan's injector
+    and the simulated clock belong to the campaign's own vantage, so the
+    run changes nothing on ``world``, and a campaign on a world measured
+    before gives the bytes (and the trace) of one on a fresh world.
 
     ``telemetry`` installs observability: when its metrics registry is
     on, every shard payload carries the shard's drained (shard-stable)
@@ -147,23 +149,20 @@ def run_campaign(
         if checkpoint_dir is None or isinstance(checkpoint_dir, CheckpointStore)
         else CheckpointStore(checkpoint_dir)
     )
-    try:
-        campaign = MeasurementCampaign(
-            world, region=region, fault_plan=fault_plan, telemetry=telemetry,
-        )
+    campaign = MeasurementCampaign(
+        world, region=region, fault_plan=fault_plan, telemetry=telemetry,
+    )
 
-        # -- persist + measure (closes the plan and measure phases) -------
-        websites, metrics = execute_plan(
-            campaign, plan, world.config, workers=workers, store=store,
-            resume=resume, stats=stats, progress=progress,
-        )
+    # -- persist + measure (closes the plan and measure phases) -----------
+    websites, metrics = execute_plan(
+        campaign, plan, world.config, workers=workers, store=store,
+        resume=resume, stats=stats, progress=progress,
+    )
 
-        # -- merge + inter-service pass -----------------------------------
-        dataset = Dataset(year=world.year)
-        dataset.websites.extend(websites)
-        campaign.run_interservice(dataset)
-    finally:
-        world.clear_faults()
+    # -- merge + inter-service pass ---------------------------------------
+    dataset = Dataset(year=world.year)
+    dataset.websites.extend(websites)
+    campaign.run_interservice(dataset)
     if metrics is not None:
         assert telemetry is not None
         remainder = telemetry.drain_metrics()

@@ -38,10 +38,13 @@ def simulate_mass_revocation(
     """Replay the incident over ``domains`` with one caching client.
 
     Uses hard-fail validation (the behaviour for which the incident was
-    actually denial-of-service; soft-fail clients sail through).
+    actually denial-of-service; soft-fail clients sail through). The
+    client's vantage keeps its own clock, so a replay on a world that
+    already replayed one gives a fresh world's result.
     """
     result = RevocationIncidentResult(ca_key=ca_key)
-    client = world.vantage(policy=RevocationPolicy.HARD_FAIL).web_client
+    vantage = world.vantage(policy=RevocationPolicy.HARD_FAIL)
+    client = vantage.web_client
     specs = world.spec.website_by_domain()
 
     def probe(domain: str) -> bool:
@@ -65,7 +68,7 @@ def simulate_mass_revocation(
             result.denied_after_fix_cached.append(domain)
 
     # After the response validity window passes, the same client recovers.
-    world.clock.advance(response_lifetime_hint + 1)
+    vantage.clock.advance(response_lifetime_hint + 1)
     for domain in result.denied_after_fix_cached:
         if probe(domain):
             result.recovered_after_expiry.append(domain)

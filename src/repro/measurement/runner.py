@@ -61,8 +61,9 @@ class MeasurementCampaign:
     per site, then :meth:`run_interservice`. Only
     :func:`repro.engine.run_campaign` runs a whole campaign.
 
-    Every campaign measures through its own cold vantage, so measuring
-    one world twice gives the bytes of measuring two fresh worlds.
+    Every campaign measures through its own cold vantage, which owns
+    the campaign's clock and its fault plan's injector, so measuring one
+    world twice gives the bytes of measuring two fresh worlds.
     ``region`` picks that vantage's region (GeoDNS views apply) — the
     paper's single-vantage limitation made explorable.
     """
@@ -77,15 +78,15 @@ class MeasurementCampaign:
         self._world = world
         self.region = region
         self.fault_plan = fault_plan if fault_plan is not None else FaultPlan()
+        vantage = world.vantage(region, faults=self.fault_plan)
         # None when the plan is empty: every layer keeps its fault-free
         # fast path and output is byte-identical to a plan-less campaign.
-        self._injector = world.install_faults(self.fault_plan)
-        vantage = world.vantage(region)
+        self._injector = vantage.injector
         dig = vantage.dig
         self._crawler = vantage.crawler
         self.telemetry = telemetry
         if telemetry is not None:
-            # Span timestamps come from the world's simulated clock; the
+            # Span timestamps come from the vantage's simulated clock; the
             # same facade is installed into every layer of this campaign's
             # own vantage, so it never outlives the campaign.
             # Layer hooks only feed the tracer and the diagnostics
@@ -94,7 +95,7 @@ class MeasurementCampaign:
             # ``telemetry is None`` fast path (campaign metrics are
             # recorded per *site* in :meth:`measure_site`, which reads
             # ``self.telemetry`` directly).
-            telemetry.bind_clock(world.clock.now)
+            telemetry.bind_clock(vantage.clock.now)
             if telemetry.tracer is not None or telemetry.diagnostics is not None:
                 vantage.resolver.telemetry = telemetry
                 vantage.resolver.cache.telemetry = telemetry

@@ -75,7 +75,7 @@ class _Builder:
         self._new_node(None, "exit")
         # (break targets, continue targets) per enclosing loop.
         self._loop_stack: list[tuple[int, int]] = []
-        # Handler entry nodes of every enclosing try.
+        # Exception-handler entry nodes of every enclosing try.
         self._handler_stack: list[list[int]] = []
 
     def _new_node(self, stmt: Optional[ast.stmt], label: str) -> int:

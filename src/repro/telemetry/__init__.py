@@ -5,7 +5,7 @@ Three design rules keep it compatible with the repository's determinism
 contract (DESIGN §10):
 
 1. **Simulated time only.** Spans and events are stamped from the
-   world's :class:`~repro.dnssim.clock.SimulatedClock` (injected as a
+   vantage's :class:`~repro.dnssim.clock.SimulatedClock` (injected as a
    ``now`` callable — this package sits *below* dnssim in the layer DAG
    and never imports it). Wall-clock reads are quarantined in
    :mod:`repro.telemetry.profile`, whose values feed operator-facing

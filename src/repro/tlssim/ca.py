@@ -94,6 +94,7 @@ class CertificateAuthority:
             responder_name=f"{name} ocsp",
             revoked_serials=self._revoked,
             known_serials=self._known_serials,
+            host=self.ocsp_host,
         )
         self.cdp = CRLDistributionPoint(
             url=self._crl_url(), issuer_name=self._issuer_subject()

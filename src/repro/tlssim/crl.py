@@ -29,34 +29,33 @@ class CRLDistributionPoint:
     """A CDP endpoint serving the issuing CA's CRL.
 
     The hostname in ``url`` is what the paper's CA→DNS / CA→CDN dependency
-    measurements classify.
+    measurements classify, and what keys the endpoint's fault draws.
     """
 
     url: str
     issuer_name: str
     _revoked: set[int] = field(default_factory=set)
     crl_lifetime: float = 7 * 24 * 3600
-    downloads_served: int = 0
-    # Fault injection (installed by World.install_faults): a matching
-    # ``crl_stale`` rule makes the endpoint serve CRLs whose validity
-    # window already ended — the "nobody re-signed the CRL" failure.
-    fault_injector: Optional[FaultInjector] = None
-    fault_host: str = ""
 
     def bind(self, revoked_serials: set[int]) -> None:
         """Share the CA's live revocation set."""
         self._revoked = revoked_serials
 
-    def _endpoint_host(self) -> str:
-        return self.fault_host or self.url.split("://", 1)[-1].split("/", 1)[0]
+    @property
+    def host(self) -> str:
+        return self.url.split("://", 1)[-1].split("/", 1)[0]
 
-    def current_crl(self, now: float) -> CertificateRevocationList:
-        """Produce the CRL as of ``now``."""
-        self.downloads_served += 1
-        if self.fault_injector is not None:
-            rule = self.fault_injector.tls_fault(
-                "crl_stale", self._endpoint_host(), 0
-            )
+    def current_crl(
+        self, now: float, injector: Optional[FaultInjector] = None
+    ) -> CertificateRevocationList:
+        """Produce the CRL as of ``now``.
+
+        When the asking vantage's ``injector`` fires a ``crl_stale``
+        rule, the CRL's validity window already ended — the "nobody
+        re-signed the CRL" failure.
+        """
+        if injector is not None:
+            rule = injector.tls_fault("crl_stale", self.host, 0)
             if rule is not None:
                 return CertificateRevocationList(
                     issuer_name=self.issuer_name,

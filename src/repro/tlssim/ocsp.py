@@ -46,7 +46,9 @@ class OCSPResponder:
     """A CA's OCSP service.
 
     ``misconfigured_revoke_all`` reproduces the GlobalSign failure: every
-    status query returns REVOKED regardless of the truth.
+    status query returns REVOKED regardless of the truth. ``host`` is the
+    service hostname the responder answers on, which keys its fault
+    draws.
     """
 
     def __init__(
@@ -54,6 +56,7 @@ class OCSPResponder:
         responder_name: str,
         revoked_serials: set[int],
         known_serials: set[int],
+        host: str,
         response_lifetime: float = DEFAULT_RESPONSE_LIFETIME,
     ):
         self.responder_name = responder_name
@@ -61,17 +64,20 @@ class OCSPResponder:
         self._known = known_serials      # shared live with the CA
         self.response_lifetime = response_lifetime
         self.misconfigured_revoke_all = False
-        self.requests_served = 0
-        # Fault injection (installed by World.install_faults): when an
-        # ``ocsp_expired`` rule matches, the responder serves responses
-        # whose validity window already ended — the "responder is up but
-        # its signer broke" failure mode.
-        self.fault_injector: Optional[FaultInjector] = None
-        self.fault_host = ""
+        self.host = host
 
-    def status_of(self, serial: int, now: float) -> OCSPResponse:
-        """Produce a response for ``serial`` as of time ``now``."""
-        self.requests_served += 1
+    def status_of(
+        self,
+        serial: int,
+        now: float,
+        injector: Optional[FaultInjector] = None,
+    ) -> OCSPResponse:
+        """Produce a response for ``serial`` as of time ``now``.
+
+        When the asking vantage's ``injector`` fires an ``ocsp_expired``
+        rule, the response's validity window already ended — the
+        "responder is up but its signer broke" failure mode.
+        """
         if self.misconfigured_revoke_all:
             status = CertStatus.REVOKED
         elif serial in self._revoked:
@@ -80,10 +86,8 @@ class OCSPResponder:
             status = CertStatus.GOOD
         else:
             status = CertStatus.UNKNOWN
-        if self.fault_injector is not None:
-            rule = self.fault_injector.tls_fault(
-                "ocsp_expired", self.fault_host or self.responder_name, serial
-            )
+        if injector is not None:
+            rule = injector.tls_fault("ocsp_expired", self.host, serial)
             if rule is not None:
                 return OCSPResponse(
                     serial=serial,

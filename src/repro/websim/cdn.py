@@ -10,12 +10,12 @@ paper's CNAME-to-CDN detection keys on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.names.normalize import normalize
+from repro.tlssim.ca import CertificateAuthority
 from repro.tlssim.certificate import CertificateChain
-from repro.tlssim.ocsp import OCSPResponse
-from repro.websim.http import Handler, HttpResponse, HttpServer, VirtualHost
+from repro.websim.http import HttpServer, VhostKind, VirtualHost
 
 
 @dataclass
@@ -65,31 +65,27 @@ class CdnProvider:
         self,
         label: str,
         customer_hostnames: list[str],
-        handler: Optional[Handler] = None,
         chain: Optional[CertificateChain] = None,
-        staple_ocsp: bool = False,
-        staple_source: Optional[Callable[[int], Optional[OCSPResponse]]] = None,
+        ca: Optional[CertificateAuthority] = None,
     ) -> CdnDeployment:
         """Onboard a customer: allocate an edge name and serve their hosts.
 
         The edge server answers for the customer-facing hostnames (that is
         what SNI carries after the CNAME is followed) and for the edge name
-        itself. ``chain`` is the certificate presented for those names.
+        itself. ``chain`` is the certificate presented for those names. A
+        ``ca`` customer's names serve its OCSP and CRL endpoints; any
+        other customer's serve cached objects.
         """
         deployment = CdnDeployment(
             label=normalize(label),
             edge_hostname=self.edge_hostname_for(label),
             customer_hostnames=[normalize(h) for h in customer_hostnames],
         )
-        effective_handler = handler or _default_edge_handler(self.name)
+        kind: VhostKind = "edge" if ca is None else "revocation"
         for hostname in [*deployment.customer_hostnames, deployment.edge_hostname]:
             self.edge_server.add_vhost(
                 VirtualHost(
-                    hostname=hostname,
-                    handler=effective_handler,
-                    chain=chain,
-                    staple_ocsp=staple_ocsp,
-                    staple_source=staple_source,
+                    hostname, kind, owner=self.name, ca=ca, chain=chain
                 )
             )
         self.deployments.append(deployment)
@@ -101,13 +97,3 @@ class CdnProvider:
             f"customers={len(self.deployments)})"
         )
 
-
-def _default_edge_handler(cdn_name: str) -> Handler:
-    def handle(hostname: str, path: str) -> HttpResponse:
-        return HttpResponse(
-            status=200,
-            body=f"cached object {path} for {hostname}",
-            headers={"server": cdn_name, "x-cache": "HIT"},
-        )
-
-    return handle

@@ -16,10 +16,11 @@ from typing import TYPE_CHECKING, Optional
 from repro.dnssim.client import DigClient
 from repro.dnssim.clock import SimulatedClock
 from repro.dnssim.errors import ResolutionError
+from repro.faults.injector import FaultInjector
 from repro.tlssim.certificate import CertificateChain
 from repro.tlssim.crl import CertificateRevocationList
 from repro.tlssim.errors import TlsError
-from repro.tlssim.ocsp import OCSPResponse, OCSPResponseCache
+from repro.tlssim.ocsp import OCSPResponder, OCSPResponse, OCSPResponseCache
 from repro.tlssim.validation import (
     RevocationPolicy,
     TrustStore,
@@ -65,7 +66,8 @@ class FetchResult:
 
 
 class WebClient:
-    """A browser-like client bound to the simulated DNS and HTTP fabrics."""
+    """A browser-like client bound to the simulated DNS and HTTP fabrics;
+    its fault ``injector`` and ``clock`` go with every request it makes."""
 
     def __init__(
         self,
@@ -74,13 +76,18 @@ class WebClient:
         trust_store: TrustStore,
         clock: SimulatedClock,
         revocation_policy: RevocationPolicy = RevocationPolicy.HARD_FAIL,
+        injector: Optional[FaultInjector] = None,
     ):
         self._dns = dns
         self._fabric = fabric
         self._trust_store = trust_store
         self._clock = clock
         self.revocation_policy = revocation_policy
+        self.injector = injector
         self.ocsp_cache = OCSPResponseCache()
+        # Server-side stapling as this vantage sees it: the proof each
+        # stapling server last fetched, by (responder, serial).
+        self._staples: dict[tuple[OCSPResponder, int], OCSPResponse] = {}
         # Observability hook; None keeps the hot path to one attr check.
         self.telemetry: Optional["Telemetry"] = None
 
@@ -162,7 +169,9 @@ class WebClient:
         server = None
         for ip in addresses:
             try:
-                server = self._fabric.connect(ip, host=parsed.host, attempt=attempt)
+                server = self._fabric.connect(
+                    ip, parsed.host, attempt, self.injector
+                )
                 result.ip = ip
                 break
             except ConnectionFailedError:
@@ -181,8 +190,8 @@ class WebClient:
                 result.error = "tls: server has no certificate for this host"
                 return result
             result.chain = vhost.chain
-            result.stapled_response = vhost.stapled_response_for(
-                vhost.chain.leaf.serial
+            result.stapled_response = self._staple(
+                vhost.stapler, vhost.chain.leaf.serial
             )
             tel = self.telemetry
             span = (
@@ -214,7 +223,9 @@ class WebClient:
                 sp.set(valid=result.validation.ok)
 
         # 4. The request itself.
-        response = server.request(parsed.host, parsed.path, attempt=attempt)
+        response = server.request(
+            parsed.host, parsed.path, attempt, self.injector, self._clock.now()
+        )
         result.status = response.status
         result.body = response.body
         result.headers = dict(response.headers)
@@ -224,6 +235,21 @@ class WebClient:
         return result
 
     # -- revocation transports -----------------------------------------------
+
+    def _staple(
+        self, responder: Optional[OCSPResponder], serial: int
+    ) -> Optional[OCSPResponse]:
+        """The proof a server stapling from ``responder`` hands over: its
+        last fetched one while still fresh, else a new one."""
+        if responder is None:
+            return None
+        now = self._clock.now()
+        cached = self._staples.get((responder, serial))
+        if cached is not None and cached.is_fresh_at(now):
+            return cached
+        response = responder.status_of(serial, now, self.injector)
+        self._staples[responder, serial] = response
+        return response
 
     def fetch_ocsp(self, url: str, serial: int) -> Optional[OCSPResponse]:
         """Contact an OCSP responder over plain HTTP (with client caching).
@@ -290,10 +316,15 @@ class WebClient:
             path = f"{path}?serial={query_serial}"
         for ip in addresses:
             try:
-                server = self._fabric.connect(ip, host=parsed.host)
+                server = self._fabric.connect(
+                    ip, parsed.host, injector=self.injector
+                )
             except ConnectionFailedError:
                 continue
-            response = server.request(parsed.host, path)
+            response = server.request(
+                parsed.host, path, injector=self.injector,
+                now=self._clock.now(),
+            )
             if response.ok:
                 return response
         return None

@@ -9,12 +9,13 @@ models availability faults (a CDN outage is "these edge IPs stop serving").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Literal, Optional
 
 from repro.faults.injector import FaultInjector
 from repro.names.normalize import normalize
+from repro.tlssim.ca import CertificateAuthority
 from repro.tlssim.certificate import CertificateChain
-from repro.tlssim.ocsp import OCSPResponse
+from repro.tlssim.ocsp import OCSPResponder
 
 
 class HttpFabricError(Exception):
@@ -43,27 +44,40 @@ class HttpResponse:
         return 200 <= self.status < 300
 
 
-Handler = Callable[[str, str], HttpResponse]  # (hostname, path) -> response
+#: What a virtual host serves: objects and a landing page of ``owner``'s,
+#: a root-path redirect to ``body``, a CDN edge named ``owner``, or the
+#: OCSP and/or CRL endpoints of ``ca`` (``revocation``: both, by path).
+VhostKind = Literal[
+    "static", "landing", "redirect", "edge", "ocsp", "crl", "revocation"
+]
+
+_ROOT_PATHS = ("/", "/index.html")
 
 
-@dataclass
+@dataclass(slots=True)
 class VirtualHost:
-    """One served hostname: content handler plus TLS configuration.
+    """One served hostname: what it serves plus its TLS configuration.
 
-    ``hostname`` may be a wildcard (``*.edge.example-cdn.net``) — CDNs serve
-    thousands of customer edge names from one vhost. ``staple_ocsp`` models
-    the server-side OCSP stapling switch the paper measures; the fresh
-    response itself is provided by ``staple_source`` so a stapling server
-    keeps serving (cached, still-fresh) proofs during a CA outage.
+    A virtual host is data, answered by the function of its ``kind``.
+    ``owner`` is the owning name (a website domain, or a CDN's display
+    name), ``body`` the landing page or the redirect target. ``hostname``
+    may be a wildcard (``*.edge.example-cdn.net``) — CDNs serve thousands
+    of customer edge names from one vhost. ``stapler`` is the OCSP
+    responder a stapling server fetches its proofs from (None: no
+    stapling).
     """
 
     hostname: str
-    handler: Handler
+    kind: VhostKind = "static"
+    owner: str = ""
+    body: str = ""
+    ca: Optional[CertificateAuthority] = None
     chain: Optional[CertificateChain] = None
-    staple_ocsp: bool = False
-    staple_source: Optional[Callable[[int], Optional[OCSPResponse]]] = None
+    stapler: Optional[OCSPResponder] = None
 
     def __post_init__(self) -> None:
+        if self.kind not in _ANSWERS:
+            raise ValueError(f"unknown virtual-host kind {self.kind!r}")
         self.hostname = normalize(self.hostname)
 
     @property
@@ -79,10 +93,71 @@ class VirtualHost:
             return hostname.endswith("." + suffix) and hostname != suffix
         return False
 
-    def stapled_response_for(self, serial: int) -> Optional[OCSPResponse]:
-        if not self.staple_ocsp or self.staple_source is None:
-            return None
-        return self.staple_source(serial)
+
+# One answer function per kind: (vhost, the host the client asked for,
+# path, the client's fault injector, simulated time) -> response.
+
+
+def _static(vhost: VirtualHost, host: str, path: str,
+            injector: Optional[FaultInjector], now: float) -> HttpResponse:
+    return HttpResponse(status=200, body=f"object {path} from {vhost.owner}")
+
+
+def _landing(vhost: VirtualHost, host: str, path: str,
+             injector: Optional[FaultInjector], now: float) -> HttpResponse:
+    if path in _ROOT_PATHS:
+        return HttpResponse(
+            status=200, body=vhost.body, headers={"server": vhost.owner}
+        )
+    return _static(vhost, host, path, injector, now)
+
+
+def _redirect(vhost: VirtualHost, host: str, path: str,
+              injector: Optional[FaultInjector], now: float) -> HttpResponse:
+    if path in _ROOT_PATHS:
+        return HttpResponse(status=301, headers={"location": vhost.body})
+    return HttpResponse(status=200, body=f"object {path}")
+
+
+def _edge(vhost: VirtualHost, host: str, path: str,
+          injector: Optional[FaultInjector], now: float) -> HttpResponse:
+    return HttpResponse(
+        status=200,
+        body=f"cached object {path} for {host}",
+        headers={"server": vhost.owner, "x-cache": "HIT"},
+    )
+
+
+def _ocsp(vhost: VirtualHost, host: str, path: str,
+          injector: Optional[FaultInjector], now: float) -> HttpResponse:
+    assert vhost.ca is not None
+    serial = 0
+    if "serial=" in path:
+        try:
+            serial = int(path.split("serial=", 1)[1].split("&")[0])
+        except ValueError:
+            return HttpResponse(status=400, body="bad serial")
+    response = vhost.ca.ocsp_responder.status_of(serial, now, injector)
+    return HttpResponse(status=200, body="ocsp", payload=response)
+
+
+def _crl(vhost: VirtualHost, host: str, path: str,
+         injector: Optional[FaultInjector], now: float) -> HttpResponse:
+    assert vhost.ca is not None
+    crl = vhost.ca.cdp.current_crl(now, injector)
+    return HttpResponse(status=200, body="crl", payload=crl)
+
+
+def _revocation(vhost: VirtualHost, host: str, path: str,
+                injector: Optional[FaultInjector], now: float) -> HttpResponse:
+    answer = _ocsp if "/ocsp" in path else _crl
+    return answer(vhost, host, path, injector, now)
+
+
+_ANSWERS: dict[str, Callable[..., HttpResponse]] = {
+    "static": _static, "landing": _landing, "redirect": _redirect,
+    "edge": _edge, "ocsp": _ocsp, "crl": _crl, "revocation": _revocation,
+}
 
 
 class HttpServer:
@@ -99,9 +174,6 @@ class HttpServer:
             raise ValueError("a web server needs at least one IP")
         self.operator = operator
         self._vhosts: list[VirtualHost] = []
-        self.requests_served = 0
-        # Installed fabric-wide by HttpFabric.install_faults.
-        self.fault_injector: Optional[FaultInjector] = None
 
     def add_vhost(self, vhost: VirtualHost) -> None:
         self._vhosts.append(vhost)
@@ -120,15 +192,22 @@ class HttpServer:
     def vhosts(self) -> list[VirtualHost]:
         return list(self._vhosts)
 
-    def request(self, hostname: str, path: str, attempt: int = 0) -> HttpResponse:
-        """Serve one plaintext request.
+    def request(
+        self,
+        hostname: str,
+        path: str,
+        attempt: int = 0,
+        injector: Optional[FaultInjector] = None,
+        now: float = 0.0,
+    ) -> HttpResponse:
+        """Serve one plaintext request at simulated time ``now``.
 
-        ``attempt`` is the client's retry round; it keys per-attempt
+        ``injector`` is the requesting vantage's fault injector, if any;
+        ``attempt`` is the client's retry round, keying per-attempt
         fault draws so a retried request re-rolls its fate.
         """
-        self.requests_served += 1
-        if self.fault_injector is not None:
-            rule = self.fault_injector.web_request_fault(
+        if injector is not None:
+            rule = injector.web_request_fault(
                 self.name, hostname, path, attempt
             )
             if rule is not None:
@@ -136,7 +215,7 @@ class HttpServer:
         vhost = self.vhost_for(hostname)
         if vhost is None:
             return HttpResponse(status=421, body="misdirected request")
-        return vhost.handler(hostname, path)
+        return _ANSWERS[vhost.kind](vhost, hostname, path, injector, now)
 
     def __repr__(self) -> str:
         return f"HttpServer({self.name!r}, ips={self.ips}, vhosts={len(self._vhosts)})"
@@ -148,9 +227,6 @@ class HttpFabric:
     def __init__(self) -> None:
         self._hosts: dict[str, HttpServer] = {}
         self._down_ips: set[str] = set()
-        self._fault_injector: Optional[FaultInjector] = None
-        self.connections = 0
-        self.failures = 0
 
     def register_server(self, server: HttpServer) -> None:
         for ip in server.ips:
@@ -158,14 +234,6 @@ class HttpFabric:
             if existing is not None and existing is not server:
                 raise ValueError(f"IP {ip} already assigned to {existing.name}")
             self._hosts[ip] = server
-        server.fault_injector = self._fault_injector
-
-    def install_faults(self, injector: Optional[FaultInjector]) -> None:
-        """Attach (or with ``None`` detach) a fault injector fabric-wide:
-        connects consult it here, requests on every registered server."""
-        self._fault_injector = injector
-        for server in self._hosts.values():
-            server.fault_injector = injector
 
     def server_at(self, ip: str) -> Optional[HttpServer]:
         return self._hosts.get(ip)
@@ -183,22 +251,24 @@ class HttpFabric:
     def is_available(self, ip: str) -> bool:
         return ip in self._hosts and ip not in self._down_ips
 
-    def connect(self, ip: str, host: str = "", attempt: int = 0) -> HttpServer:
+    def connect(
+        self,
+        ip: str,
+        host: str = "",
+        attempt: int = 0,
+        injector: Optional[FaultInjector] = None,
+    ) -> HttpServer:
         """Open a connection; raises :class:`ConnectionFailedError` if the
-        IP is unassigned, the server is down, or an injected ``timeout``
-        fault fires for this (server, ip, host, attempt)."""
-        self.connections += 1
+        IP is unassigned, the server is down, or the caller's
+        ``injector`` fires a ``timeout`` fault for this (server, ip,
+        host, attempt)."""
         server = self._hosts.get(ip)
         if server is None or ip in self._down_ips:
-            self.failures += 1
             raise ConnectionFailedError(ip)
-        if self._fault_injector is not None:
-            rule = self._fault_injector.web_connect_fault(
-                server.name, ip, host, attempt
-            )
-            if rule is not None:
-                self.failures += 1
-                raise ConnectionFailedError(ip)
+        if injector is not None and injector.web_connect_fault(
+            server.name, ip, host, attempt
+        ) is not None:
+            raise ConnectionFailedError(ip)
         return server
 
     def __repr__(self) -> str:

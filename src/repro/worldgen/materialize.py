@@ -16,10 +16,9 @@ has to *infer* it back, exactly like the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.dnssim.clock import SimulatedClock
 from repro.dnssim.network import DnsNetwork
 from repro.dnssim.records import ARecord, CNAMERecord, NSRecord, SOARecord
 from repro.dnssim.server import AuthoritativeServer
@@ -28,10 +27,9 @@ from repro.names.psl import icann_psl
 from repro.names.registrable import registrable_domain
 from repro.tlssim.ca import CertificateAuthority, IssuancePolicy
 from repro.tlssim.certificate import CertificateChain
-from repro.tlssim.ocsp import OCSPResponse
 from repro.tlssim.validation import TrustStore
 from repro.websim.cdn import CdnProvider
-from repro.websim.http import HttpFabric, HttpResponse, HttpServer, VirtualHost
+from repro.websim.http import HttpFabric, HttpServer, VirtualHost
 from repro.websim.page import PageBuilder, Resource, WebPage
 from repro.worldgen.spec import (
     PRIVATE,
@@ -41,6 +39,10 @@ from repro.worldgen.spec import (
     SnapshotSpec,
     WebsiteSpec,
 )
+
+#: The simulated time a world is built at: certificates are issued then,
+#: and every vantage's clock starts there.
+BUILD_TIME = 1_000_000.0
 
 _TLD_SERVER_NAME = "a.gtld-servers.net"
 _ROOT_SERVER_NAME = "a.root-servers.net"
@@ -128,7 +130,6 @@ class MaterializedWorld:
     """Everything :class:`repro.worldgen.world.World` wraps."""
 
     spec: SnapshotSpec
-    clock: SimulatedClock
     dns_network: DnsNetwork
     http_fabric: HttpFabric
     trust_store: TrustStore
@@ -143,9 +144,8 @@ class MaterializedWorld:
 class Materializer:
     """Single-use builder turning one spec into a materialized world."""
 
-    def __init__(self, spec: SnapshotSpec, clock: Optional[SimulatedClock] = None):
+    def __init__(self, spec: SnapshotSpec):
         self.spec = spec
-        self.clock = clock or SimulatedClock(start=1_000_000.0)
         self.ip = IpAllocator()
         self.dns_network = DnsNetwork()
         self.http_fabric = HttpFabric()
@@ -180,7 +180,6 @@ class Materializer:
             self._build_website(website)
         return MaterializedWorld(
             spec=self.spec,
-            clock=self.clock,
             dns_network=self.dns_network,
             http_fabric=self.http_fabric,
             trust_store=self.trust_store,
@@ -439,14 +438,13 @@ class Materializer:
             operator=ca_spec.entity,
             ocsp_host=ca_spec.ocsp_host,
             crl_host=ca_spec.crl_host,
-            now=self.clock.now(),
+            now=BUILD_TIME,
         )
         self.trust_store.add(ca.root)
         service_server = HttpServer(
             f"svc.{ca_spec.ocsp_host}", [self.ip.allocate()], operator=ca_spec.entity
         )
         self.http_fabric.register_server(service_server)
-        ocsp_handler, crl_handler = self._revocation_handlers(ca)
         base_domain = (
             registrable_domain(ca_spec.ocsp_host, icann_psl()) or ca_spec.ocsp_host
         )
@@ -472,45 +470,21 @@ class Materializer:
             deployment = cdn.provider.deploy(
                 label,
                 customer_hostnames=[ca_spec.ocsp_host, ca_spec.crl_host],
-                handler=lambda host, path: (
-                    ocsp_handler(host, path) if "/ocsp" in path else crl_handler(host, path)
-                ),
+                ca=ca,
             )
             zone.add(ca_spec.ocsp_host, CNAMERecord(deployment.edge_hostname))
             if ca_spec.crl_host != ca_spec.ocsp_host:
                 crl_zone.add(ca_spec.crl_host, CNAMERecord(deployment.edge_hostname))
         else:
-            service_server.add_vhost(VirtualHost(ca_spec.ocsp_host, ocsp_handler))
+            service_server.add_vhost(VirtualHost(ca_spec.ocsp_host, "ocsp", ca=ca))
             zone.add(ca_spec.ocsp_host, _a_record(service_server.ips[0]))
             if ca_spec.crl_host != ca_spec.ocsp_host:
-                service_server.add_vhost(VirtualHost(ca_spec.crl_host, crl_handler))
                 crl_zone.add(ca_spec.crl_host, _a_record(service_server.ips[0]))
-            else:
-                service_server.add_vhost(VirtualHost(ca_spec.crl_host, crl_handler))
+            service_server.add_vhost(VirtualHost(ca_spec.crl_host, "crl", ca=ca))
 
         self._ca_infra[ca_spec.key] = CaInfra(
             spec=ca_spec, ca=ca, service_server=service_server, dns_infras=infras
         )
-
-    def _revocation_handlers(self, ca: CertificateAuthority):
-        clock = self.clock
-
-        def ocsp_handler(host: str, path: str) -> HttpResponse:
-            serial = 0
-            if "serial=" in path:
-                try:
-                    serial = int(path.split("serial=", 1)[1].split("&")[0])
-                except ValueError:
-                    return HttpResponse(status=400, body="bad serial")
-            response = ca.ocsp_responder.status_of(serial, clock.now())
-            return HttpResponse(status=200, body="ocsp", payload=response)
-
-        def crl_handler(host: str, path: str) -> HttpResponse:
-            return HttpResponse(
-                status=200, body="crl", payload=ca.cdp.current_crl(clock.now())
-            )
-
-        return ocsp_handler, crl_handler
 
     def _private_ca_for(self, website: WebsiteSpec) -> CaInfra:
         """A per-entity private CA whose OCSP host sits under the entity's
@@ -525,7 +499,7 @@ class Materializer:
             operator=website.entity,
             ocsp_host=f"ocsp.{base}",
             crl_host=f"crl.{base}",
-            now=self.clock.now(),
+            now=BUILD_TIME,
             # Self-run PKI typically ships certificates without AIA/CDP
             # endpoints — which is also what keeps the observed-CA count at
             # the market's size, as in the paper's 59.
@@ -563,9 +537,7 @@ class Materializer:
             zone = self._new_zone(domain, [infra])
             for host in (domain, f"cdn.{domain}", f"static.{domain}"):
                 zone.add(host, _a_record(server.ips[0]))
-                server.add_vhost(
-                    VirtualHost(host, _static_object_handler(domain))
-                )
+                server.add_vhost(VirtualHost(host, owner=domain))
             self._external_servers[domain] = server
 
     # -- websites ---------------------------------------------------------------
@@ -608,23 +580,24 @@ class Materializer:
                 ca_infra = self._private_ca_for(website)
                 # Private revocation endpoints ride the origin server.
                 if ca_infra.service_server is None:
-                    ocsp_handler, crl_handler = self._revocation_handlers(ca_infra.ca)
                     base = self._entity_primary_domain.get(website.entity, domain)
                     if base == domain:
-                        origin_server.add_vhost(VirtualHost(ca_infra.ca.ocsp_host, ocsp_handler))
-                        origin_server.add_vhost(VirtualHost(ca_infra.ca.crl_host, crl_handler))
-                        zone.add(ca_infra.ca.ocsp_host, _a_record(origin_ip))
-                        zone.add(ca_infra.ca.crl_host, _a_record(origin_ip))
+                        ca = ca_infra.ca
+                        origin_server.add_vhost(VirtualHost(ca.ocsp_host, "ocsp", ca=ca))
+                        origin_server.add_vhost(VirtualHost(ca.crl_host, "crl", ca=ca))
+                        zone.add(ca.ocsp_host, _a_record(origin_ip))
+                        zone.add(ca.crl_host, _a_record(origin_ip))
                         ca_infra.service_server = origin_server
             else:
                 ca_infra = self._ca_infra[website.ca_key]
             san = (domain, f"*.{domain}", f"www.{domain}") + website.alias_sans
-            leaf = ca_infra.ca.issue(subject=domain, san=san, now=self.clock.now())
+            leaf = ca_infra.ca.issue(subject=domain, san=san, now=BUILD_TIME)
             chain = ca_infra.ca.chain_for(leaf)
 
-        staple_source = None
+        stapler = None
         if website.https and website.ocsp_stapled and chain is not None:
-            staple_source = _staple_source(ca_infra.ca, self.clock)
+            assert ca_infra is not None
+            stapler = ca_infra.ca.ocsp_responder
 
         # Landing page and resources.
         resources, resource_hosts = self._website_resources(website, zone, origin_ip, chain)
@@ -633,32 +606,25 @@ class Materializer:
             title=domain,
             resources=resources,
         )
-        html = self._page_builder.render(page)
-        handler = _landing_handler(html, domain)
+        landing = VirtualHost(
+            f"www.{domain}", "landing", owner=domain,
+            body=self._page_builder.render(page), chain=chain, stapler=stapler,
+        )
         # A realistic fraction of sites canonicalize the apex to www with a
         # 301 (deterministic per domain so measurement runs are repeatable).
-        canonicalizes = sum(ord(c) for c in domain) % 5 == 0
-        scheme = "https" if website.https else "http"
-        apex_handler = (
-            _redirect_handler(f"{scheme}://www.{domain}/")
-            if canonicalizes
-            else handler
-        )
-        for host, host_handler in ((domain, apex_handler), (f"www.{domain}", handler)):
-            origin_server.add_vhost(
-                VirtualHost(
-                    hostname=host,
-                    handler=host_handler,
-                    chain=chain,
-                    staple_ocsp=website.ocsp_stapled,
-                    staple_source=staple_source,
-                )
+        if sum(ord(c) for c in domain) % 5 == 0:
+            scheme = "https" if website.https else "http"
+            apex = VirtualHost(
+                domain, "redirect", owner=domain,
+                body=f"{scheme}://www.{domain}/", chain=chain, stapler=stapler,
             )
+        else:
+            apex = replace(landing, hostname=domain)
+        origin_server.add_vhost(apex)
+        origin_server.add_vhost(landing)
         for host in resource_hosts["origin"]:
             zone.add(host, _a_record(origin_ip))
-            origin_server.add_vhost(
-                VirtualHost(host, _static_object_handler(domain), chain=chain)
-            )
+            origin_server.add_vhost(VirtualHost(host, owner=domain, chain=chain))
 
         self._website_infra[domain] = WebsiteInfra(
             spec=website,
@@ -748,51 +714,6 @@ class Materializer:
         return resources, hosts
 
 
-def _redirect_handler(target: str):
-    def handle(host: str, path: str) -> HttpResponse:
-        if path in ("/", "/index.html"):
-            return HttpResponse(
-                status=301, body="", headers={"location": target}
-            )
-        return HttpResponse(status=200, body=f"object {path}")
-
-    return handle
-
-
-def _landing_handler(html: str, domain: str):
-    def handle(host: str, path: str) -> HttpResponse:
-        if path in ("/", "/index.html"):
-            return HttpResponse(status=200, body=html, headers={"server": domain})
-        return HttpResponse(status=200, body=f"object {path} from {domain}")
-
-    return handle
-
-
-def _static_object_handler(domain: str):
-    def handle(host: str, path: str) -> HttpResponse:
-        return HttpResponse(status=200, body=f"object {path} from {domain}")
-
-    return handle
-
-
-def _staple_source(ca: CertificateAuthority, clock: SimulatedClock):
-    """Server-side stapling: the web server fetches and caches OCSP proofs
-    from its CA's responder out of band."""
-    cache: dict[int, OCSPResponse] = {}
-
-    def source(serial: int) -> Optional[OCSPResponse]:
-        cached = cache.get(serial)
-        if cached is not None and cached.is_fresh_at(clock.now()):
-            return cached
-        response = ca.ocsp_responder.status_of(serial, clock.now())
-        cache[serial] = response
-        return response
-
-    return source
-
-
-def materialize(
-    spec: SnapshotSpec, clock: Optional[SimulatedClock] = None
-) -> MaterializedWorld:
+def materialize(spec: SnapshotSpec) -> MaterializedWorld:
     """Materialize a snapshot spec into live substrate objects."""
-    return Materializer(spec, clock).build()
+    return Materializer(spec).build()

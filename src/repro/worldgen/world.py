@@ -1,11 +1,12 @@
 """The :class:`World`: a live simulated internet.
 
-Wraps a snapshot spec with fault injection (provider outages) used by
-the incident-replay experiments. A world holds infrastructure only, and
+Wraps a snapshot spec with the provider outages the incident-replay
+experiments switch on and off. A world holds infrastructure only, and
 builds it (:func:`~repro.worldgen.materialize.materialize`) the first
 time something needs it: reading a world's spec, year or config never
-does. Measurement tools — a caching resolver, a dig client, a web client
-and a crawler — come from :meth:`World.vantage`, cold on every call.
+does. Everything a measurement changes lives in a vantage
+(:meth:`World.vantage`), cold on every call: its clock, its fault
+injector, its caches and its tools.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.dnssim.client import DigClient
+from repro.dnssim.clock import SimulatedClock
 from repro.dnssim.resolver import IterativeResolver
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -24,15 +26,18 @@ from repro.worldgen.alexa import ListChurn
 from repro.worldgen.config import WorldConfig
 from repro.worldgen.evolve import evolve_to_2020
 from repro.worldgen.generate import generate_snapshot
-from repro.worldgen.materialize import MaterializedWorld, materialize
+from repro.worldgen.materialize import BUILD_TIME, MaterializedWorld, materialize
 from repro.worldgen.spec import SnapshotSpec
 
 
 @dataclass
 class VantagePoint:
-    """One measurement vantage: a region-tagged resolver and its tools."""
+    """One measurement vantage: its own simulated clock and fault
+    injector (None: fault-free), a region-tagged resolver, and its tools."""
 
     region: Optional[str]
+    clock: SimulatedClock
+    injector: Optional[FaultInjector]
     resolver: IterativeResolver
     dig: DigClient
     web_client: WebClient
@@ -42,7 +47,7 @@ class VantagePoint:
 class World:
     """One live snapshot of the simulated internet.
 
-    The infrastructure (``clock``, ``dns_network``, ``http_fabric``,
+    The infrastructure (``dns_network``, ``http_fabric``,
     ``trust_store``, the ``*_infra`` maps) is materialized once, on
     first use; :meth:`build` forces it.
     """
@@ -50,7 +55,6 @@ class World:
     def __init__(self, spec: SnapshotSpec, config: WorldConfig):
         self._spec = spec
         self.config = config
-        self.fault_injector: Optional[FaultInjector] = None
         self._built: Optional[MaterializedWorld] = None
 
     @property
@@ -73,10 +77,6 @@ class World:
     @property
     def year(self) -> int:
         return self._spec.year
-
-    @property
-    def clock(self):
-        return self._m.clock
 
     @property
     def dns_network(self):
@@ -110,70 +110,50 @@ class World:
         self,
         region: Optional[str] = None,
         policy: RevocationPolicy = RevocationPolicy.SOFT_FAIL,
+        faults: Optional[FaultPlan] = None,
     ) -> VantagePoint:
         """A cold measurement vantage (resolver/dig/client/crawler): an
         independent user in ``region`` (GeoDNS views apply) validating
         revocation under ``policy`` — the multi-vantage extension of the
-        paper's §3.5. Vantages share no cache with each other."""
+        paper's §3.5 — whose every query and fetch meets the seeded
+        ``faults`` plan.
+
+        The vantage's clock starts at the world's build time, and its
+        caches (DNS answers, OCSP responses, the staples servers handed
+        it) start empty. Vantages share none of this with each other, so
+        what one sees never depends on what another did before it. An
+        empty plan gives no injector: every layer keeps its fault-free
+        fast path, byte-identical to a plan-less vantage.
+        """
         m = self._m
+        injector = None
+        if faults is not None:
+            faults.validate()
+            if not faults.empty:
+                injector = FaultInjector(faults)
+        clock = SimulatedClock(start=BUILD_TIME)
         resolver = IterativeResolver(
-            m.dns_network, m.root_hints, clock=m.clock, region=region
+            m.dns_network, m.root_hints, clock=clock, region=region,
+            injector=injector,
         )
         dig = DigClient(resolver)
         client = WebClient(
             dns=dig,
             fabric=m.http_fabric,
             trust_store=m.trust_store,
-            clock=m.clock,
+            clock=clock,
             revocation_policy=policy,
+            injector=injector,
         )
         return VantagePoint(
             region=region,
+            clock=clock,
+            injector=injector,
             resolver=resolver,
             dig=dig,
             web_client=client,
-            crawler=Crawler(client, clock=m.clock),
+            crawler=Crawler(client, clock=clock),
         )
-
-    # -- fault injection -----------------------------------------------------
-
-    def install_faults(self, plan: FaultPlan) -> Optional[FaultInjector]:
-        """Thread a seeded fault plan through every simulated layer.
-
-        An empty plan is equivalent to :meth:`clear_faults`: all fast
-        paths stay fault-free and output is byte-identical to a run that
-        never called this.
-        """
-        plan.validate()
-        m = self._m
-        if plan.empty:
-            self.clear_faults()
-            return None
-        injector = FaultInjector(plan)
-        self.fault_injector = injector
-        m.dns_network.install_faults(injector, m.clock)
-        m.http_fabric.install_faults(injector)
-        for infra in m.ca_infra.values():
-            responder = infra.ca.ocsp_responder
-            responder.fault_injector = injector
-            responder.fault_host = infra.spec.ocsp_host
-            cdp = infra.ca.cdp
-            cdp.fault_injector = injector
-            cdp.fault_host = infra.spec.crl_host
-        return injector
-
-    def clear_faults(self) -> None:
-        """Detach any installed fault injector from every layer (an
-        unbuilt world has none, and stays unbuilt)."""
-        self.fault_injector = None
-        m = self._built
-        if m is None:
-            return
-        m.dns_network.install_faults(None, None)
-        m.http_fabric.install_faults(None)
-        for infra in m.ca_infra.values():
-            infra.ca.ocsp_responder.fault_injector = None
-            infra.ca.cdp.fault_injector = None
 
     def take_down_dns_provider(self, key: str, available: bool = False) -> None:
         """Stop (or restore) every nameserver a managed-DNS provider runs.

@@ -277,8 +277,8 @@ def _capture(seed: int) -> list[bytes]:
     wires: list[bytes] = []
     send = DnsNetwork.send
 
-    def recording_send(self, ip, wire_query, region=None, attempt=0):
-        wire_response = send(self, ip, wire_query, region, attempt)
+    def recording_send(self, ip, wire_query, *args):
+        wire_response = send(self, ip, wire_query, *args)
         wires.append(wire_query)
         wires.append(wire_response)
         return wire_response

@@ -43,16 +43,11 @@ def faults_config() -> WorldConfig:
     return WorldConfig(n_websites=FAULTS_N, seed=FAULTS_SEED)
 
 
-@pytest.fixture()
+@pytest.fixture(scope="module")
 def world(faults_config):
-    # Function-scoped: behaviour tests install faults and advance the
-    # clock, which must not leak between tests.
+    # Shared: a fault plan and the clock it advances belong to the
+    # vantage a test takes, so nothing leaks between tests.
     return build_world(faults_config)
-
-
-@pytest.fixture()
-def vantage(world):
-    return world.vantage()
 
 
 def _rank1_domain(world) -> str:
@@ -332,9 +327,11 @@ class TestRetryPolicy:
 
 
 class TestDnsFaultBehaviour:
-    def test_drop_exhausts_retries_then_fails(self, world, vantage):
+    def test_drop_exhausts_retries_then_fails(self, world):
         domain = _rank1_domain(world)
-        world.install_faults(FaultPlan(rules=(_dns_rule(domain, "drop"),)))
+        vantage = world.vantage(
+            faults=FaultPlan(rules=(_dns_rule(domain, "drop"),))
+        )
         assert not vantage.dig.is_resolvable(domain)
         status = vantage.dig.last_status
         assert status.attempts == DEFAULT_RETRY_POLICY.max_attempts
@@ -342,43 +339,54 @@ class TestDnsFaultBehaviour:
         assert status.degraded
         assert vantage.resolver.stats.retries > 0
 
-    def test_servfail_is_reported_as_upstream_rcode(self, world, vantage):
+    def test_servfail_is_reported_as_upstream_rcode(self, world):
         domain = _rank1_domain(world)
-        world.install_faults(FaultPlan(rules=(_dns_rule(domain, "servfail"),)))
+        vantage = world.vantage(
+            faults=FaultPlan(rules=(_dns_rule(domain, "servfail"),))
+        )
         assert not vantage.dig.is_resolvable(domain)
         assert "SERVFAIL" in vantage.dig.last_status.failure
 
     @pytest.mark.parametrize("kind", ["refused", "lame", "truncate"])
-    def test_degenerate_responses_break_resolution(self, world, vantage, kind):
+    def test_degenerate_responses_break_resolution(self, world, kind):
         domain = _rank1_domain(world)
-        world.install_faults(FaultPlan(rules=(_dns_rule(domain, kind),)))
+        vantage = world.vantage(
+            faults=FaultPlan(rules=(_dns_rule(domain, kind),))
+        )
         assert not vantage.dig.is_resolvable(domain)
         assert vantage.dig.last_status.degraded
 
-    def test_slow_advances_the_clock_but_answers(self, world, vantage):
+    def test_slow_advances_the_clock_but_answers(self, world):
         domain = _rank1_domain(world)
-        clock = world._m.clock
-        before = clock.now()
-        world.install_faults(
-            FaultPlan(rules=(_dns_rule(domain, "slow", delay=5.0),))
+        vantage = world.vantage(
+            faults=FaultPlan(rules=(_dns_rule(domain, "slow", delay=5.0),))
         )
+        before = vantage.clock.now()
         assert vantage.dig.is_resolvable(domain)
-        assert clock.now() >= before + 5.0
+        assert vantage.clock.now() >= before + 5.0
         assert not vantage.dig.last_status.degraded
+        # The delay is the vantage's own: a new vantage starts at the
+        # world's build time again.
+        assert world.vantage().clock.now() == before
 
-    def test_clear_faults_restores_health(self, world, vantage):
+    def test_clear_faults_restores_health(self, world):
+        """A plan lives on its vantage: on one world, a drop-plan vantage
+        fails while a plan-less vantage, before and after it, answers."""
         domain = _rank1_domain(world)
-        world.install_faults(FaultPlan(rules=(_dns_rule(domain, "drop"),)))
-        assert not vantage.dig.is_resolvable(domain)
-        world.clear_faults()
-        assert vantage.dig.is_resolvable(domain)
+        assert world.vantage().dig.is_resolvable(domain)
+        faulted = world.vantage(
+            faults=FaultPlan(rules=(_dns_rule(domain, "drop"),))
+        )
+        assert not faulted.dig.is_resolvable(domain)
+        assert world.vantage().dig.is_resolvable(domain)
+        assert world.vantage(faults=FaultPlan()).injector is None
 
-    def test_retries_recover_from_partial_drops(self, world, vantage):
+    def test_retries_recover_from_partial_drops(self, world):
         # With a per-(ip, attempt) keyed 50% drop, some query needs a
         # second round; the retry loop must still land every answer.
         domain = _rank1_domain(world)
-        world.install_faults(
-            FaultPlan(
+        vantage = world.vantage(
+            faults=FaultPlan(
                 rules=(_dns_rule(domain, "drop", probability=0.5),), seed=2
             )
         )
@@ -388,10 +396,10 @@ class TestDnsFaultBehaviour:
 
 
 class TestWebTlsFaultBehaviour:
-    def test_timeout_fails_the_crawl_after_retries(self, world, vantage):
+    def test_timeout_fails_the_crawl_after_retries(self, world):
         domain = _rank1_domain(world)
-        world.install_faults(
-            FaultPlan(
+        vantage = world.vantage(
+            faults=FaultPlan(
                 rules=(
                     FaultRule(name="t", layer="web", kind="timeout", scope=domain),
                 )
@@ -403,10 +411,10 @@ class TestWebTlsFaultBehaviour:
         assert result.attempts == vantage.crawler.retry_policy.max_attempts
         assert vantage.crawler.retries > 0
 
-    def test_http_error_returns_the_configured_status(self, world, vantage):
+    def test_http_error_returns_the_configured_status(self, world):
         domain = _rank1_domain(world)
-        world.install_faults(
-            FaultPlan(
+        vantage = world.vantage(
+            faults=FaultPlan(
                 rules=(
                     FaultRule(name="e", layer="web", kind="http_error",
                               scope=domain, status=502),
@@ -418,10 +426,10 @@ class TestWebTlsFaultBehaviour:
         assert result.error == "http: status 502"
         assert result.attempts == vantage.crawler.retry_policy.max_attempts
 
-    def test_web_retries_recover_from_partial_timeouts(self, world, vantage):
+    def test_web_retries_recover_from_partial_timeouts(self, world):
         domain = _rank1_domain(world)
-        world.install_faults(
-            FaultPlan(
+        vantage = world.vantage(
+            faults=FaultPlan(
                 rules=(
                     FaultRule(name="t", layer="web", kind="timeout",
                               scope=domain, probability=0.6),
@@ -436,19 +444,18 @@ class TestWebTlsFaultBehaviour:
     def test_ocsp_expired_serves_a_stale_window(self, world):
         infra = world.ca_infra[sorted(world.ca_infra)[0]]
         responder = infra.ca.ocsp_responder
-        world.install_faults(
-            FaultPlan(
+        vantage = world.vantage(
+            faults=FaultPlan(
                 rules=(
                     FaultRule(name="o", layer="tls", kind="ocsp_expired",
                               server=infra.spec.ocsp_host),
                 )
             )
         )
-        now = world._m.clock.now()
-        response = responder.status_of(serial=1, now=now)
+        now = vantage.clock.now()
+        response = responder.status_of(1, now, vantage.injector)
         assert response.next_update < now  # expired window
-        world.clear_faults()
-        healthy = responder.status_of(serial=1, now=now)
+        healthy = responder.status_of(1, now, world.vantage().injector)
         assert healthy.next_update >= now
 
 

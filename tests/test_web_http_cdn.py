@@ -2,25 +2,24 @@
 
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan, FaultRule
+from repro.tlssim.ca import CertificateAuthority
+from repro.tlssim.crl import CertificateRevocationList
+from repro.tlssim.ocsp import CertStatus
 from repro.websim.cdn import CdnProvider
 from repro.websim.http import (
     ConnectionFailedError,
     HttpFabric,
-    HttpResponse,
     HttpServer,
     VirtualHost,
 )
 
 
-def ok_handler(host, path):
-    return HttpResponse(status=200, body=f"{host}{path}")
-
-
 @pytest.fixture
 def server():
     srv = HttpServer("origin.x.com", ["10.1.0.1"], operator="x")
-    srv.add_vhost(VirtualHost("x.com", ok_handler))
-    srv.add_vhost(VirtualHost("*.edge.x.com", ok_handler))
+    srv.add_vhost(VirtualHost("x.com", owner="x.com"))
+    srv.add_vhost(VirtualHost("*.edge.x.com", "edge", owner="XCDN"))
     return srv
 
 
@@ -33,7 +32,7 @@ class TestVirtualHost:
         assert server.vhost_for("edge.x.com") is None  # apex not covered
 
     def test_exact_beats_wildcard(self, server):
-        server.add_vhost(VirtualHost("special.edge.x.com", ok_handler))
+        server.add_vhost(VirtualHost("special.edge.x.com", owner="x.com"))
         assert server.vhost_for("special.edge.x.com").hostname == "special.edge.x.com"
 
     def test_unknown_host_is_421(self, server):
@@ -41,7 +40,48 @@ class TestVirtualHost:
 
     def test_request_dispatch(self, server):
         response = server.request("x.com", "/index")
-        assert response.ok and response.body == "x.com/index"
+        assert response.ok and response.body == "object /index from x.com"
+        edge = server.request("a.edge.x.com", "/o")
+        assert edge.body == "cached object /o for a.edge.x.com"
+        assert edge.headers == {"server": "XCDN", "x-cache": "HIT"}
+
+    def test_landing_and_redirect_kinds(self, server):
+        server.add_vhost(
+            VirtualHost("www.x.com", "landing", owner="x.com", body="<html>")
+        )
+        server.add_vhost(
+            VirtualHost("x.org", "redirect", body="https://www.x.com/")
+        )
+        landing = server.request("www.x.com", "/")
+        assert landing.body == "<html>"
+        assert landing.headers == {"server": "x.com"}
+        assert server.request("www.x.com", "/a").body == "object /a from x.com"
+        moved = server.request("x.org", "/index.html")
+        assert moved.status == 301
+        assert moved.headers == {"location": "https://www.x.com/"}
+        assert server.request("x.org", "/a").body == "object /a"
+
+    def test_revocation_kinds_answer_for_their_ca(self):
+        ca = CertificateAuthority("Test CA", "t", ocsp_host="ocsp.t.com")
+        cert = ca.issue("a.com", ("a.com",), now=0.0)
+        srv = HttpServer("svc.t.com", ["10.1.0.2"])
+        srv.add_vhost(VirtualHost("ocsp.t.com", "revocation", ca=ca))
+        ocsp = srv.request("ocsp.t.com", f"/ocsp?serial={cert.serial}", now=5.0)
+        assert ocsp.body == "ocsp" and ocsp.payload.status is CertStatus.GOOD
+        assert ocsp.payload.this_update == 5.0
+        assert srv.request("ocsp.t.com", "/ocsp?serial=x").status == 400
+        crl = srv.request("ocsp.t.com", "/crl/test.crl", now=5.0)
+        assert isinstance(crl.payload, CertificateRevocationList)
+        stale = FaultInjector(FaultPlan(rules=(
+            FaultRule(name="s", layer="tls", kind="crl_stale"),
+        )))
+        assert srv.request(
+            "ocsp.t.com", "/crl/test.crl", injector=stale, now=5.0
+        ).payload.next_update < 5.0
+
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError):
+            VirtualHost("x.com", "proxy")  # type: ignore[arg-type]
 
     def test_https_support_flag(self, server):
         assert not server.vhost_for("x.com").supports_https
@@ -72,15 +112,6 @@ class TestFabric:
         fabric.register_server(server)
         with pytest.raises(ValueError):
             fabric.register_server(HttpServer("other", ["10.1.0.1"]))
-
-    def test_counters(self, server):
-        fabric = HttpFabric()
-        fabric.register_server(server)
-        fabric.connect("10.1.0.1")
-        fabric.set_server_available(server, False)
-        with pytest.raises(ConnectionFailedError):
-            fabric.connect("10.1.0.1")
-        assert fabric.connections == 2 and fabric.failures == 1
 
     def test_server_needs_ip(self):
         with pytest.raises(ValueError):
@@ -122,10 +153,11 @@ class TestCdnProvider:
         response = cdn.edge_server.request("static.cust1.com", "/obj")
         assert response.ok and response.headers.get("x-cache") == "HIT"
 
-    def test_custom_handler(self):
+    def test_ca_deployment_serves_revocation(self):
         cdn = self.make_cdn()
-        cdn.deploy(
-            "api", ["api.cust.com"],
-            handler=lambda host, path: HttpResponse(status=503),
-        )
-        assert cdn.edge_server.request("api.cust.com", "/").status == 503
+        ca = CertificateAuthority("Edge CA", "e", ocsp_host="ocsp.e.com")
+        cdn.deploy("ca-e", ["ocsp.e.com"], ca=ca)
+        response = cdn.edge_server.request("ocsp.e.com", "/ocsp?serial=1")
+        assert response.body == "ocsp"
+        assert response.payload.status is CertStatus.UNKNOWN
+        assert cdn.edge_server.request("ocsp.e.com", "/crl/e.crl").body == "crl"

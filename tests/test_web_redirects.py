@@ -7,13 +7,7 @@ private world rather than the shared session one.
 import pytest
 
 from repro import WorldConfig, build_world
-from repro.websim.http import HttpResponse, HttpServer, VirtualHost
-
-
-def redirect(target: str, status: int = 301):
-    def handle(host, path):
-        return HttpResponse(status=status, headers={"Location": target})
-    return handle
+from repro.websim.http import HttpServer, VirtualHost
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +53,7 @@ class TestClientRedirects:
 
         server = HttpServer("loop.test-zone.com", ["10.200.1.1"], operator="t")
         server.add_vhost(VirtualHost(
-            "loop.test-zone.com", redirect("http://loop.test-zone.com/")
+            "loop.test-zone.com", "redirect", body="http://loop.test-zone.com/"
         ))
         world.http_fabric.register_server(server)
         # Give it DNS presence via a one-off zone on the root server.
