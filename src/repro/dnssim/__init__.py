@@ -8,8 +8,8 @@ implements the pieces a measurement study touches end to end:
 * authoritative zones with delegations and glue (:mod:`repro.dnssim.zone`),
 * authoritative server behaviour — answers, referrals, NXDOMAIN
   (:mod:`repro.dnssim.server`),
-* a network fabric routing queries to server IPs, with availability faults
-  (:mod:`repro.dnssim.network`),
+* a network fabric routing queries to server IPs, where a sender's fault
+  injector drops or perturbs its queries (:mod:`repro.dnssim.network`),
 * an iterative resolver with TTL caching and CNAME chasing
   (:mod:`repro.dnssim.resolver`),
 * a dig-like convenience client (:mod:`repro.dnssim.client`).

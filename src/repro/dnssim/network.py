@@ -1,11 +1,11 @@
 """The network fabric connecting resolvers to authoritative servers.
 
 :class:`DnsNetwork` routes wire-format queries to the server listening on a
-destination IP and models availability faults — the mechanism behind every
-outage experiment (a Dyn-style DDoS is "these IPs stop answering"). A
-sender's :class:`~repro.faults.injector.FaultInjector` additionally
-perturbs its individual queries: drops, SERVFAIL/REFUSED, truncation,
-lame responses, and slow servers (delays on the sender's clock).
+destination IP. Failures belong to the sender: its
+:class:`~repro.faults.injector.FaultInjector` perturbs its individual
+queries with drops, SERVFAIL/REFUSED, truncation, lame responses, and
+slow servers (delays on the sender's clock). A Dyn-style outage is a
+plan that drops every query to the provider's nameservers.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ class DnsNetwork:
 
     def __init__(self) -> None:
         self._hosts: dict[str, AuthoritativeServer] = {}
-        self._down_ips: set[str] = set()
 
     # -- topology ----------------------------------------------------------
 
@@ -47,28 +46,6 @@ class DnsNetwork:
             seen[id(server)] = server
         return list(seen.values())
 
-    # -- fault injection ---------------------------------------------------
-
-    def set_ip_available(self, ip: str, available: bool) -> None:
-        """Bring a single listener IP up or down."""
-        if available:
-            self._down_ips.discard(ip)
-        else:
-            self._down_ips.add(ip)
-
-    def set_server_available(self, server: AuthoritativeServer, available: bool) -> None:
-        """Bring every IP of a server up or down."""
-        for ip in server.ips:
-            self.set_ip_available(ip, available)
-
-    def is_available(self, ip: str) -> bool:
-        """Whether queries to ``ip`` would be answered."""
-        return ip in self._hosts and ip not in self._down_ips
-
-    def down_ips(self) -> set[str]:
-        """IPs currently failing (for experiment bookkeeping)."""
-        return set(self._down_ips)
-
     # -- transport ---------------------------------------------------------
 
     def send(
@@ -87,11 +64,11 @@ class DnsNetwork:
         draws so a retried query re-rolls its fate deterministically.
         ``injector`` is the sender's fault injector, if any, and ``clock``
         the sender's clock, which slow-server faults advance. Raises
-        :class:`ServerUnavailableError` when nothing (or nothing healthy)
-        listens there — the resolver sees a timeout.
+        :class:`ServerUnavailableError` when nothing listens there or the
+        injector drops the query — the resolver sees a timeout.
         """
         server = self._hosts.get(ip)
-        if server is None or ip in self._down_ips:
+        if server is None:
             raise ServerUnavailableError(ip)
         if injector is None:
             return server.handle_wire(wire_query, region)
@@ -100,10 +77,7 @@ class DnsNetwork:
         )
 
     def __repr__(self) -> str:
-        return (
-            f"DnsNetwork({len(self._hosts)} listeners, "
-            f"{len(self._down_ips)} down)"
-        )
+        return f"DnsNetwork({len(self._hosts)} listeners)"
 
 
 def _send_with_faults(

@@ -2,11 +2,12 @@
 
 The paper's motivation (Section 2) is three incidents; this package
 replays their mechanics against a generated world and *observes* which
-websites actually break, validating that the graph-predicted impact
-matches ground-truth behaviour:
+websites actually break: the ground truth that the graph-predicted
+impact is compared with.
 
-* :mod:`repro.failures.outage` — take a provider down and probe websites
-  end-to-end (the Dyn 2016 and CloudFront-style scenarios);
+* :mod:`repro.failures.outage` — probe websites end-to-end through a
+  vantage whose fault plan takes a provider down (the Dyn 2016 and
+  CloudFront-style scenarios);
 * :mod:`repro.failures.revocation` — the GlobalSign 2016 mass-revocation
   with response-caching persistence;
 * :mod:`repro.failures.whatif` — a redundancy planner quantifying how a
@@ -22,6 +23,7 @@ from repro.failures.attack import (
 )
 from repro.failures.outage import (
     OutageResult,
+    outage_fault_plan,
     predicted_dns_victims,
     simulate_ca_outage,
     simulate_cdn_outage,
@@ -32,7 +34,6 @@ from repro.failures.whatif import (
     ExposureReport,
     OutageValidationReport,
     RobustnessScore,
-    outage_fault_plan,
     robustness_score,
     validate_outage_prediction,
     website_exposure,

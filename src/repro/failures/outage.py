@@ -1,11 +1,13 @@
 """Provider-outage replay: who actually breaks when a provider goes dark.
 
-``simulate_dns_outage("dyn")`` is the Mirai-Dyn incident: the provider's
-nameserver IPs stop answering, and every website is probed end-to-end
-with a cold-cache client. The result separates *unreachable* (the DNS
-path died), *degraded* (the page loads but resources were lost), and
-*unaffected* websites — ground-truth behaviour against which the
-dependency graph's impact prediction is validated.
+``simulate_dns_outage("dyn")`` is the Mirai-Dyn incident: a cold-cache
+vantage whose fault plan (:func:`outage_fault_plan`) drops every query
+to the provider's nameservers probes every website end-to-end. The
+result separates *unreachable* (the DNS path died), *degraded* (the
+page loads but resources were lost), and *unaffected* websites —
+ground-truth behaviour that the dependency graph's impact prediction is
+compared with. The world itself never changes, so nothing needs
+restoring afterwards.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Iterable, Optional
 
 from repro.core.graph import ProviderNode, ServiceType
 from repro.core.pipeline import AnalyzedSnapshot
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.names.registrable import registrable_domain
 from repro.tlssim.validation import RevocationPolicy
 from repro.worldgen.world import World
@@ -55,33 +58,81 @@ class OutageResult:
         }
 
 
+def _outage_servers(world: World, service: str, key: str) -> Optional[list[str]]:
+    """The names of the servers an outage of provider ``key`` takes
+    down, or None when the world has no such ``service`` provider."""
+    if service == "dns":
+        dns = world.dns_infra.get(key)
+        return None if dns is None else [server.name for server in dns.servers]
+    if service == "cdn":
+        cdn = world.cdn_infra.get(key)
+        return None if cdn is None else [cdn.edge_server.name]
+    if service == "ca":
+        ca = world.ca_infra.get(key)
+        if ca is None:
+            return None
+        return [] if ca.service_server is None else [ca.service_server.name]
+    raise ValueError(
+        f"unknown outage service {service!r} (expected dns, cdn or ca)"
+    )
+
+
+def outage_fault_plan(world: World, service: str, key: str) -> FaultPlan:
+    """The fault plan of one provider's outage.
+
+    ``dns``: every nameserver the provider runs drops 100% of queries
+    (the Dyn scenario). ``cdn``: the CDN's edge server times out every
+    connection. ``ca``: the CA's directly hosted revocation endpoints
+    time out; endpoints deployed on a CDN keep serving, which is the
+    CA→CDN dependency cutting the other way. The service is explicit
+    because the DNS, CDN and CA keys are separate maps that nothing
+    keeps disjoint. Raises ValueError for an unknown service or key.
+    """
+    servers = _outage_servers(world, service, key)
+    if servers is None:
+        raise ValueError(f"no {service} provider {key!r} in this world")
+    layer, kind = ("dns", "drop") if service == "dns" else ("web", "timeout")
+    rules = tuple(
+        FaultRule(
+            name=f"outage-{key}-{index}",
+            layer=layer,
+            kind=kind,
+            server=name,
+        )
+        for index, name in enumerate(servers)
+    )
+    return FaultPlan(rules=rules)
+
+
 def _probe_websites(
     world: World,
+    service: str,
+    key: str,
     domains: Optional[Iterable[str]],
-    result: OutageResult,
     revocation_policy: RevocationPolicy,
     check_resources: bool,
-) -> None:
-    client = world.vantage(policy=revocation_policy).web_client
+) -> OutageResult:
+    """Probe ``domains`` (default: every website) through a cold vantage
+    under the outage plan of ``key``."""
+    result = OutageResult(provider=key, service=service)
+    client = world.vantage(
+        policy=revocation_policy,
+        faults=outage_fault_plan(world, service, key),
+    ).web_client
     specs = world.spec.website_by_domain()
     for domain in specs if domains is None else domains:
         spec = specs.get(domain)
         scheme = "https" if spec is not None and spec.https else "http"
-        landing = client.get(f"{scheme}://www.{domain}/")
-        if not landing.ok:
+        if not client.get(f"{scheme}://www.{domain}/").ok:
             result.unreachable.append(domain)
             continue
-        if check_resources:
-            infra = world.website_infra.get(domain)
-            lost = 0
-            for host in (infra.resource_hosts if infra else []):
-                fetch = client.get(f"{scheme}://{host}/probe")
-                if not fetch.ok:
-                    lost += 1
-            if lost:
-                result.degraded.append(domain)
-                continue
-        result.unaffected.append(domain)
+        infra = world.website_infra.get(domain)
+        hosts = infra.resource_hosts if check_resources and infra else []
+        # Every resource is fetched, even after a loss: each fetch warms
+        # the vantage's caches for the sites probed after this one.
+        fetched = [client.get(f"{scheme}://{host}/probe").ok for host in hosts]
+        (result.unaffected if all(fetched) else result.degraded).append(domain)
+    return result
 
 
 def predicted_dns_victims(
@@ -118,15 +169,10 @@ def simulate_dns_outage(
     check_resources: bool = True,
 ) -> OutageResult:
     """Take a managed-DNS provider down and probe websites end-to-end."""
-    result = OutageResult(provider=provider_key, service="dns")
-    world.take_down_dns_provider(provider_key)
-    try:
-        _probe_websites(
-            world, domains, result, RevocationPolicy.SOFT_FAIL, check_resources
-        )
-    finally:
-        world.take_down_dns_provider(provider_key, available=True)
-    return result
+    return _probe_websites(
+        world, "dns", provider_key, domains, RevocationPolicy.SOFT_FAIL,
+        check_resources,
+    )
 
 
 def simulate_cdn_outage(
@@ -135,15 +181,10 @@ def simulate_cdn_outage(
     domains: Optional[Iterable[str]] = None,
 ) -> OutageResult:
     """Take a CDN's edges down; resource losses mark websites degraded."""
-    result = OutageResult(provider=cdn_key, service="cdn")
-    world.take_down_cdn(cdn_key)
-    try:
-        _probe_websites(
-            world, domains, result, RevocationPolicy.SOFT_FAIL, check_resources=True
-        )
-    finally:
-        world.take_down_cdn(cdn_key, available=True)
-    return result
+    return _probe_websites(
+        world, "cdn", cdn_key, domains, RevocationPolicy.SOFT_FAIL,
+        check_resources=True,
+    )
 
 
 def simulate_ca_outage(
@@ -156,12 +197,7 @@ def simulate_ca_outage(
     Stapling websites keep working (the paper's non-critical case); others
     lose HTTPS for hard-fail users.
     """
-    result = OutageResult(provider=ca_key, service="ca")
-    world.take_down_ca(ca_key)
-    try:
-        _probe_websites(
-            world, domains, result, RevocationPolicy.HARD_FAIL, check_resources=False
-        )
-    finally:
-        world.take_down_ca(ca_key, available=True)
-    return result
+    return _probe_websites(
+        world, "ca", ca_key, domains, RevocationPolicy.HARD_FAIL,
+        check_resources=False,
+    )

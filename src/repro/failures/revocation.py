@@ -1,15 +1,17 @@
 """The GlobalSign 2016 incident: erroneous mass revocation + caching.
 
-A misconfigured OCSP responder marks every certificate revoked. Clients
-that fetched a bad response cache it for its validity window, so websites
-stay broken for those clients *after the CA fixes the responder* — the
-dynamic that stretched the real incident to a week (Section 2).
+A misconfigured OCSP responder marks every certificate revoked: here an
+``ocsp_revoked`` fault rule on the client's vantage. Clients that fetched
+a bad response cache it for its validity window, so websites stay broken
+for those clients *after the CA fixes the responder* — the dynamic that
+stretched the real incident to a week (Section 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.faults.plan import FaultPlan, FaultRule
 from repro.tlssim.validation import RevocationPolicy
 from repro.worldgen.world import World
 
@@ -39,11 +41,28 @@ def simulate_mass_revocation(
 
     Uses hard-fail validation (the behaviour for which the incident was
     actually denial-of-service; soft-fail clients sail through). The
-    client's vantage keeps its own clock, so a replay on a world that
-    already replayed one gives a fresh world's result.
+    client's vantage keeps its own clock and caches, so a replay on a
+    world that already replayed one gives a fresh world's result.
+
+    The broken responder is an ``ocsp_revoked`` rule windowed over every
+    rank of the world: it is live while the client probes inside a
+    site's context (the incident), and dormant outside any site context
+    (after the fix), while the client keeps what it cached.
     """
     result = RevocationIncidentResult(ca_key=ca_key)
-    vantage = world.vantage(policy=RevocationPolicy.HARD_FAIL)
+    revoke_all = FaultRule(
+        name=f"{ca_key}-revokes-all",
+        layer="tls",
+        kind="ocsp_revoked",
+        server=world.ca_infra[ca_key].ca.ocsp_responder.host,
+        rank_window=(1, max(site.rank for site in world.spec.websites)),
+    )
+    vantage = world.vantage(
+        policy=RevocationPolicy.HARD_FAIL,
+        faults=FaultPlan(rules=(revoke_all,)),
+    )
+    injector = vantage.injector
+    assert injector is not None
     client = vantage.web_client
     specs = world.spec.website_by_domain()
 
@@ -52,15 +71,14 @@ def simulate_mass_revocation(
         scheme = "https" if spec is not None and spec.https else "http"
         return client.get(f"{scheme}://www.{domain}/").ok
 
-    world.misconfigure_ca_revocations(ca_key, broken=True)
-    try:
-        for domain in domains:
-            if probe(domain):
-                result.unaffected_during.append(domain)
-            else:
-                result.denied_during.append(domain)
-    finally:
-        world.misconfigure_ca_revocations(ca_key, broken=False)
+    for domain in domains:
+        spec = specs.get(domain)
+        injector.set_site(spec.rank if spec is not None else 1)
+        if probe(domain):
+            result.unaffected_during.append(domain)
+        else:
+            result.denied_during.append(domain)
+    injector.clear_site()
 
     # Immediately after the fix: cached REVOKED responses still apply.
     for domain in result.denied_during:

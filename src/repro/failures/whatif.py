@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from repro.core.graph import ProviderNode
 from repro.core.pipeline import AnalyzedSnapshot
 from repro.failures.outage import simulate_dns_outage
-from repro.faults.plan import FaultPlan, FaultRule
 from repro.measurement.records import Dataset
 from repro.worldgen.world import World
 
@@ -154,36 +153,19 @@ def stapling_adoption_whatif(
     return results
 
 
-def outage_fault_plan(
-    world: World, provider_key: str, seed: int = 0
-) -> FaultPlan:
-    """A fault plan reproducing a managed-DNS provider outage: every
-    nameserver the provider runs drops 100% of queries."""
-    infra = world.dns_infra[provider_key]
-    rules = tuple(
-        FaultRule(
-            name=f"outage-{provider_key}-{index}",
-            layer="dns",
-            kind="drop",
-            server=server.name,
-            probability=1.0,
-        )
-        for index, server in enumerate(infra.servers)
-    )
-    return FaultPlan(rules=rules, seed=seed)
-
-
 @dataclass
 class OutageValidationReport:
-    """Analytical outage prediction vs fault-injected measurement.
+    """An end-to-end probe vs the measurement pipeline, under one plan.
 
-    ``predicted`` comes from :func:`simulate_dns_outage` (take the
-    provider's listeners down, probe with a cold-cache client);
-    ``measured`` from a full measurement campaign run under an injected
-    100%-drop fault plan targeting the same nameservers. Perfect
-    agreement means the two independent failure paths — availability
-    flags on the fabric vs per-query fault draws in the transport —
-    reach identical conclusions about who breaks.
+    ``predicted`` holds the domains whose landing page a cold-cache
+    probe (:func:`simulate_dns_outage`, no resource checks) cannot load
+    under the provider's outage plan; ``measured`` holds the domains a
+    measurement campaign under the same plan records as not resolvable
+    (``dns.resolvable`` false). Perfect agreement means a browser-like
+    fetch and the DNS measurer reach identical conclusions about who
+    breaks. Neither side reads the dependency graph: the graph's own
+    prediction is :func:`~repro.failures.outage.predicted_dns_victims`,
+    which can name more sites than break.
     """
 
     provider_key: str
@@ -205,12 +187,13 @@ class OutageValidationReport:
 def validate_outage_prediction(
     world: World, provider_key: str, measured: Dataset
 ) -> OutageValidationReport:
-    """Check a provider-outage prediction against injected-fault reality.
+    """Check the measurement pipeline against an end-to-end probe.
 
     ``measured`` is ``repro.engine.run_campaign`` over ``world`` under
-    :func:`outage_fault_plan`. Over exactly its websites, compares the
-    domains it found unresolvable with the ones
-    :func:`simulate_dns_outage` predicts unreachable.
+    ``outage_fault_plan(world, "dns", provider_key)``. Over exactly its
+    websites, compares the domains it found unresolvable with the ones
+    whose landing page :func:`simulate_dns_outage` cannot load under
+    that same plan.
     """
     domains = [w.domain for w in measured.websites]
     predicted = simulate_dns_outage(

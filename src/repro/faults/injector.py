@@ -133,7 +133,7 @@ class FaultInjector:
     def tls_fault(
         self, kind: str, responder_name: str, serial: int
     ) -> Optional[FaultRule]:
-        """An ``ocsp_expired``/``crl_stale`` rule firing here, if any."""
+        """A TLS rule of ``kind`` firing at this responder, if any."""
         for rule in self._tls_rules:
             if (
                 rule.kind == kind

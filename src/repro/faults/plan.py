@@ -24,10 +24,12 @@ Fault kinds per layer::
 
     dns   drop | servfail | refused | truncate | lame | slow
     web   timeout | http_error
-    tls   ocsp_expired | crl_stale
+    tls   ocsp_expired | ocsp_revoked | crl_stale
 
 ``slow`` consumes ``delay`` (simulated seconds added to the clock);
 ``http_error`` consumes ``status`` (the 5xx code returned).
+``ocsp_revoked`` makes a responder call every certificate REVOKED (the
+GlobalSign 2016 incident).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Any, Optional
 FAULT_LAYERS = ("dns", "web", "tls")
 DNS_FAULT_KINDS = ("drop", "servfail", "refused", "truncate", "lame", "slow")
 WEB_FAULT_KINDS = ("timeout", "http_error")
-TLS_FAULT_KINDS = ("ocsp_expired", "crl_stale")
+TLS_FAULT_KINDS = ("ocsp_expired", "ocsp_revoked", "crl_stale")
 
 _KINDS_BY_LAYER = {
     "dns": DNS_FAULT_KINDS,

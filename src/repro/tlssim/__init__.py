@@ -5,9 +5,10 @@ fields the Section 3 heuristics read — the SAN list, the OCSP responder URL
 (AIA) and the CRL distribution points — and web servers can staple OCSP
 responses, which is how the paper defines *non*-critical dependency on a CA.
 
-The GlobalSign-style failure mode is expressible too: an OCSP responder can
-be misconfigured to answer REVOKED for valid serials, and responses carry
-validity windows so caching extends incidents exactly as Section 2 recounts.
+The GlobalSign-style failure mode is expressible too: a vantage's
+``ocsp_revoked`` fault rule makes an OCSP responder answer it REVOKED for
+valid serials, and responses carry validity windows so caching extends
+incidents exactly as Section 2 recounts.
 """
 
 from repro.tlssim.errors import (

@@ -1,10 +1,11 @@
 """OCSP: responders, responses, and response caching semantics.
 
 The GlobalSign 2016 incident (Section 2 of the paper) is a first-class
-scenario here: a responder can be *misconfigured* to report good
-certificates as revoked, and because responses carry ``next_update``
-validity, clients that cache them keep failing after the responder is
-fixed — the exact dynamics that stretched the incident to a week.
+scenario here: a vantage whose fault plan fires an ``ocsp_revoked``
+rule at a responder is told that good certificates are revoked, and
+because responses carry ``next_update`` validity, clients that cache
+them keep failing after the responder is fixed — the exact dynamics
+that stretched the incident to a week.
 """
 
 from __future__ import annotations
@@ -43,13 +44,8 @@ class OCSPResponse:
 
 
 class OCSPResponder:
-    """A CA's OCSP service.
-
-    ``misconfigured_revoke_all`` reproduces the GlobalSign failure: every
-    status query returns REVOKED regardless of the truth. ``host`` is the
-    service hostname the responder answers on, which keys its fault
-    draws.
-    """
+    """A CA's OCSP service. ``host`` is the service hostname the
+    responder answers on, which keys its fault draws."""
 
     def __init__(
         self,
@@ -63,7 +59,6 @@ class OCSPResponder:
         self._revoked = revoked_serials  # shared live with the CA
         self._known = known_serials      # shared live with the CA
         self.response_lifetime = response_lifetime
-        self.misconfigured_revoke_all = False
         self.host = host
 
     def status_of(
@@ -74,19 +69,21 @@ class OCSPResponder:
     ) -> OCSPResponse:
         """Produce a response for ``serial`` as of time ``now``.
 
-        When the asking vantage's ``injector`` fires an ``ocsp_expired``
-        rule, the response's validity window already ended — the
-        "responder is up but its signer broke" failure mode.
+        When the asking vantage's ``injector`` fires an ``ocsp_revoked``
+        rule, the status is REVOKED whatever the truth (the GlobalSign
+        failure). When it fires an ``ocsp_expired`` rule, the response's
+        validity window already ended — the "responder is up but its
+        signer broke" failure mode.
         """
-        if self.misconfigured_revoke_all:
-            status = CertStatus.REVOKED
-        elif serial in self._revoked:
+        if serial in self._revoked:
             status = CertStatus.REVOKED
         elif serial in self._known:
             status = CertStatus.GOOD
         else:
             status = CertStatus.UNKNOWN
         if injector is not None:
+            if injector.tls_fault("ocsp_revoked", self.host, serial) is not None:
+                status = CertStatus.REVOKED
             rule = injector.tls_fault("ocsp_expired", self.host, serial)
             if rule is not None:
                 return OCSPResponse(

@@ -2,8 +2,9 @@
 
 Mirrors :class:`repro.dnssim.network.DnsNetwork` one layer up the stack.
 A :class:`HttpServer` listens on IPs and serves named virtual hosts; the
-fabric routes a connection to whichever server owns the destination IP and
-models availability faults (a CDN outage is "these edge IPs stop serving").
+fabric routes a connection to whichever server owns the destination IP.
+Failures belong to the connecting client's fault injector: a CDN outage
+is a plan that times out every connection to the CDN's edge server.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ class HttpFabricError(Exception):
 
 
 class ConnectionFailedError(HttpFabricError):
-    """Nothing healthy is listening on the destination IP."""
+    """Nothing is listening on the destination IP, or the connect timed
+    out under an injected fault."""
 
     def __init__(self, ip: str):
         self.ip = ip
@@ -226,7 +228,6 @@ class HttpFabric:
 
     def __init__(self) -> None:
         self._hosts: dict[str, HttpServer] = {}
-        self._down_ips: set[str] = set()
 
     def register_server(self, server: HttpServer) -> None:
         for ip in server.ips:
@@ -238,19 +239,6 @@ class HttpFabric:
     def server_at(self, ip: str) -> Optional[HttpServer]:
         return self._hosts.get(ip)
 
-    def set_ip_available(self, ip: str, available: bool) -> None:
-        if available:
-            self._down_ips.discard(ip)
-        else:
-            self._down_ips.add(ip)
-
-    def set_server_available(self, server: HttpServer, available: bool) -> None:
-        for ip in server.ips:
-            self.set_ip_available(ip, available)
-
-    def is_available(self, ip: str) -> bool:
-        return ip in self._hosts and ip not in self._down_ips
-
     def connect(
         self,
         ip: str,
@@ -259,11 +247,10 @@ class HttpFabric:
         injector: Optional[FaultInjector] = None,
     ) -> HttpServer:
         """Open a connection; raises :class:`ConnectionFailedError` if the
-        IP is unassigned, the server is down, or the caller's
-        ``injector`` fires a ``timeout`` fault for this (server, ip,
-        host, attempt)."""
+        IP is unassigned or the caller's ``injector`` fires a ``timeout``
+        fault for this (server, ip, host, attempt)."""
         server = self._hosts.get(ip)
-        if server is None or ip in self._down_ips:
+        if server is None:
             raise ConnectionFailedError(ip)
         if injector is not None and injector.web_connect_fault(
             server.name, ip, host, attempt
@@ -272,7 +259,4 @@ class HttpFabric:
         return server
 
     def __repr__(self) -> str:
-        return (
-            f"HttpFabric({len(self._hosts)} listeners, "
-            f"{len(self._down_ips)} down)"
-        )
+        return f"HttpFabric({len(self._hosts)} listeners)"

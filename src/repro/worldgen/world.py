@@ -1,12 +1,13 @@
 """The :class:`World`: a live simulated internet.
 
-Wraps a snapshot spec with the provider outages the incident-replay
-experiments switch on and off. A world holds infrastructure only, and
-builds it (:func:`~repro.worldgen.materialize.materialize`) the first
-time something needs it: reading a world's spec, year or config never
-does. Everything a measurement changes lives in a vantage
-(:meth:`World.vantage`), cold on every call: its clock, its fault
-injector, its caches and its tools.
+A world holds infrastructure only, and builds it
+(:func:`~repro.worldgen.materialize.materialize`) the first time
+something needs it: reading a world's spec, year or config never does.
+Once built, no library code changes it. Everything a measurement
+changes lives in a vantage (:meth:`World.vantage`), cold on every call:
+its clock, its fault injector, its caches and its tools. An outage, or
+a responder that revokes everything, is a fault plan on a vantage, so
+it reaches that vantage alone.
 """
 
 from __future__ import annotations
@@ -154,54 +155,6 @@ class World:
             web_client=client,
             crawler=Crawler(client, clock=clock),
         )
-
-    def take_down_dns_provider(self, key: str, available: bool = False) -> None:
-        """Stop (or restore) every nameserver a managed-DNS provider runs.
-
-        This is the Dyn scenario: the provider's listener IPs stop
-        answering; zones hosted *only* there become unresolvable.
-        """
-        infra = self._m.dns_infra[key]
-        for server in infra.servers:
-            self._m.dns_network.set_server_available(server, available)
-
-    def take_down_cdn(self, key: str, available: bool = False) -> None:
-        """Stop (or restore) a CDN's edge servers."""
-        infra = self._m.cdn_infra[key]
-        self._m.http_fabric.set_server_available(infra.edge_server, available)
-
-    def take_down_ca(self, key: str, available: bool = False) -> None:
-        """Stop (or restore) a CA's directly-hosted revocation endpoints.
-
-        Endpoints deployed on a CDN keep serving — which is the CA→CDN
-        dependency cutting the other way.
-        """
-        infra = self._m.ca_infra[key]
-        if infra.service_server is not None:
-            self._m.http_fabric.set_server_available(
-                infra.service_server, available
-            )
-
-    def misconfigure_ca_revocations(self, key: str, broken: bool = True) -> None:
-        """Flip a CA's OCSP responder into revoke-everything mode — the
-        GlobalSign 2016 incident."""
-        self._m.ca_infra[key].ca.ocsp_responder.misconfigured_revoke_all = broken
-
-    def restore_all(self) -> None:
-        """Bring every failed component back (an unbuilt world has none
-        down, and stays unbuilt)."""
-        m = self._built
-        if m is None:
-            return
-        for ip in list(m.dns_network.down_ips()):
-            m.dns_network.set_ip_available(ip, True)
-        for infra in m.cdn_infra.values():
-            m.http_fabric.set_server_available(infra.edge_server, True)
-        for infra in m.ca_infra.values():
-            if infra.service_server is not None:
-                m.http_fabric.set_server_available(
-                    infra.service_server, True
-                )
 
     def __repr__(self) -> str:
         return (

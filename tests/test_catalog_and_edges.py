@@ -102,14 +102,6 @@ class TestWorldApi:
         text = repr(world_2020)
         assert "World(year=2020" in text
 
-    def test_restore_all_idempotent(self, world_2020):
-        world_2020.take_down_dns_provider("dyn")
-        world_2020.take_down_cdn("akamai")
-        world_2020.take_down_ca("digicert")
-        world_2020.restore_all()
-        world_2020.restore_all()
-        assert not world_2020.dns_network.down_ips()
-
     def test_two_vantages_share_no_cache(self, world_2020, vantage):
         spec = world_2020.spec.websites[0]
         vantage.dig.is_resolvable(spec.domain)  # warm the first cache
@@ -117,13 +109,6 @@ class TestWorldApi:
         assert other.resolver.cache is not vantage.resolver.cache
         other.web_client.get(f"http://www.{spec.domain}/")
         assert other.resolver.stats.queries > 0
-
-    def test_misconfigure_ca_toggles(self, world_2020):
-        infra = world_2020.ca_infra["digicert"]
-        world_2020.misconfigure_ca_revocations("digicert", broken=True)
-        assert infra.ca.ocsp_responder.misconfigured_revoke_all
-        world_2020.misconfigure_ca_revocations("digicert", broken=False)
-        assert not infra.ca.ocsp_responder.misconfigured_revoke_all
 
 
 class TestRestrictedGraph:

@@ -19,6 +19,9 @@ from repro.dnssim.records import (
     SOARecord,
 )
 from repro.dnssim.zone import Zone
+from repro.faults import FaultInjector, FaultPlan, FaultRule
+
+ROOT_HINTS = {"a.root-servers.net": "10.0.0.1"}
 
 
 @pytest.fixture
@@ -61,8 +64,19 @@ def tree():
     com.add("example.com", NSRecord("ns1.dynect.net"))  # glueless delegation
 
     clockres = SimulatedClock()
-    resolver = IterativeResolver(net, {"a.root-servers.net": "10.0.0.1"}, clockres)
+    resolver = IterativeResolver(net, ROOT_HINTS, clockres)
     return net, resolver, dyn, clockres
+
+
+def _dyn_outage_resolver(net: DnsNetwork) -> IterativeResolver:
+    """A resolver whose fault plan drops every query to Dyn's server."""
+    plan = FaultPlan(rules=(
+        FaultRule(name="dyn-down", layer="dns", kind="drop",
+                  server="ns1.dynect.net"),
+    ))
+    return IterativeResolver(
+        net, ROOT_HINTS, SimulatedClock(), injector=FaultInjector(plan)
+    )
 
 
 class TestResolution:
@@ -136,10 +150,10 @@ class TestResolution:
         assert resolver.stats.queries - before <= 2
 
     def test_outage_fails_resolution(self, tree):
-        net, resolver, dyn, _ = tree
-        net.set_server_available(dyn, False)
+        net, resolver, _, _ = tree
         with pytest.raises(ResolutionError):
-            resolver.resolve("example.com", RRType.A)
+            _dyn_outage_resolver(net).resolve("example.com", RRType.A)
+        assert resolver.resolve("example.com", RRType.A)
 
     def test_resolve_address_helper(self, tree):
         _, resolver, _, _ = tree
@@ -181,9 +195,8 @@ class TestDigClient:
         assert dig.cname_chain("alias.example.com") == ["edge.dynect.net"]
 
     def test_is_resolvable_tracks_outage(self, tree):
-        net, resolver, dyn, _ = tree
-        dig = DigClient(resolver)
-        assert dig.is_resolvable("example.com")
-        net.set_server_available(dyn, False)
-        resolver.cache.flush()
-        assert not dig.is_resolvable("example.com")
+        net, resolver, _, _ = tree
+        assert DigClient(resolver).is_resolvable("example.com")
+        assert not DigClient(_dyn_outage_resolver(net)).is_resolvable(
+            "example.com"
+        )

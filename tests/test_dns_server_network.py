@@ -17,6 +17,7 @@ from repro.dnssim.records import (
 )
 from repro.dnssim.server import AuthoritativeServer
 from repro.dnssim.zone import Zone
+from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.names.normalize import normalize
 from repro.names.registrable import is_subdomain_of
 
@@ -155,14 +156,18 @@ class TestNetwork:
             net.send("10.9.9.9", b"\x00" * 12)
 
     def test_down_server_times_out(self, server):
+        """A server is down for a sender whose plan drops its queries,
+        and only for that sender."""
         net = DnsNetwork()
         net.register_server(server)
-        net.set_server_available(server, False)
-        assert not net.is_available("10.0.0.1")
+        down = FaultInjector(FaultPlan(rules=(
+            FaultRule(name="down", layer="dns", kind="drop",
+                      server="ns1.example.com"),
+        )))
+        wire = DnsMessage.query("example.com", RRType.A).to_wire()
         with pytest.raises(ServerUnavailableError):
-            net.send("10.0.0.1", b"\x00" * 12)
-        net.set_server_available(server, True)
-        assert net.is_available("10.0.0.1")
+            net.send("10.0.0.1", wire, injector=down)
+        assert DnsMessage.from_wire(net.send("10.0.0.1", wire)).answers
 
     def test_ip_conflict_rejected(self, server):
         net = DnsNetwork()

@@ -435,7 +435,7 @@ class TestFaultLifecycle:
         world = build_world(engine_config)
         run_campaign(
             world=world, limit=20,
-            fault_plan=outage_fault_plan(world, "dyn"),
+            fault_plan=outage_fault_plan(world, "dns", "dyn"),
         )
         self._assert_fault_free(world, fresh_answer)
 
@@ -447,7 +447,7 @@ class TestFaultLifecycle:
             run_campaign(
                 world=world, shards=4, workers=1, limit=20,
                 progress=_AbortAfter(1),
-                fault_plan=outage_fault_plan(world, "dyn"),
+                fault_plan=outage_fault_plan(world, "dns", "dyn"),
             )
         self._assert_fault_free(world, fresh_answer)
 

@@ -5,6 +5,7 @@ import pytest
 from repro import WorldConfig, build_world
 from repro.core.graph import ProviderNode, ServiceType
 from repro.failures import (
+    outage_fault_plan,
     simulate_ca_outage,
     simulate_cdn_outage,
     simulate_dns_outage,
@@ -40,13 +41,20 @@ class TestDnsOutage:
         assert not result.unreachable
 
     def test_world_restored_after_outage(self, world_2020):
+        """An outage is its vantage's plan, not world state: a plan-less
+        vantage taken while an outage vantage is live still reaches the
+        victim."""
         victim = next(
             w.domain for w in world_2020.spec.websites
             if w.dns.providers == ["cloudflare"]
         )
-        simulate_dns_outage(world_2020, "cloudflare", domains=[victim])
+        down = world_2020.vantage(
+            faults=outage_fault_plan(world_2020, "dns", "cloudflare")
+        ).web_client
+        assert not down.get(f"http://www.{victim}/").ok
         client = world_2020.vantage().web_client
         assert client.get(f"http://www.{victim}/").ok
+        assert not down.get(f"http://www.{victim}/").ok
 
     def test_prediction_matches_behaviour(self, world_2020, snapshot_2020):
         """The paper's impact metric, validated operationally."""
@@ -68,6 +76,37 @@ class TestDnsOutage:
         )
         assert 0.0 <= result.affected_fraction() <= 1.0
         assert result.total_probed == 50
+
+
+class TestOutageFaultPlan:
+    @pytest.mark.parametrize("service", ["dns", "cdn", "ca"])
+    def test_unknown_key_names_service_and_key(self, world_2020, service):
+        with pytest.raises(ValueError, match=f"{service} provider 'route53'"):
+            outage_fault_plan(world_2020, service, "route53")
+
+    def test_unknown_service_is_named(self, world_2020):
+        with pytest.raises(ValueError, match="'dnssec'"):
+            outage_fault_plan(world_2020, "dnssec", "dyn")
+
+    def test_rules_target_the_provider_servers(self, world_2020):
+        dns = outage_fault_plan(world_2020, "dns", "dyn")
+        assert [rule.server for rule in dns.rules] == [
+            server.name for server in world_2020.dns_infra["dyn"].servers
+        ]
+        assert {(r.layer, r.kind, r.probability) for r in dns.rules} == {
+            ("dns", "drop", 1.0)
+        }
+        cdn = outage_fault_plan(world_2020, "cdn", "cloudfront")
+        edge = world_2020.cdn_infra["cloudfront"].edge_server
+        assert [(r.layer, r.kind, r.server) for r in cdn.rules] == [
+            ("web", "timeout", edge.name)
+        ]
+        for key, infra in world_2020.ca_infra.items():
+            ca = outage_fault_plan(world_2020, "ca", key)
+            served = infra.service_server
+            assert [r.server for r in ca.rules] == (
+                [] if served is None else [served.name]
+            )
 
 
 class TestCdnOutage:

@@ -503,7 +503,7 @@ class TestFaultedCampaigns:
         from repro.failures import outage_fault_plan, validate_outage_prediction
 
         measured = run_campaign(
-            world=world, fault_plan=outage_fault_plan(world, "dyn")
+            world=world, fault_plan=outage_fault_plan(world, "dns", "dyn")
         )
         report = validate_outage_prediction(world, "dyn", measured)
         assert report.predicted, "the dyn provider should have customers"
@@ -518,7 +518,7 @@ class TestFaultedCampaigns:
 
         measured = run_campaign(
             world=world, limit=limit,
-            fault_plan=outage_fault_plan(world, "dyn"),
+            fault_plan=outage_fault_plan(world, "dns", "dyn"),
         )
         report = validate_outage_prediction(world, "dyn", measured)
         assert set(report.predicted) <= {w.domain for w in measured.websites}

@@ -2,9 +2,19 @@
 
 import pytest
 
+from repro.faults import FaultInjector, FaultPlan, FaultRule
 from repro.tlssim.ca import CertificateAuthority, IssuancePolicy
 from repro.tlssim.crl import CertificateRevocationList
 from repro.tlssim.ocsp import CertStatus, OCSPResponseCache
+
+
+def _revoke_all(host: str) -> FaultInjector:
+    """A vantage's injector that makes the responder on ``host`` call
+    every certificate revoked (the GlobalSign 2016 failure)."""
+    return FaultInjector(FaultPlan(rules=(
+        FaultRule(name="revoke-all", layer="tls", kind="ocsp_revoked",
+                  server=host),
+    )))
 
 
 @pytest.fixture
@@ -77,10 +87,13 @@ class TestRevocation:
 
     def test_misconfiguration_revokes_everything(self, ca):
         cert = ca.issue("example.com", ("example.com",), now=0.0)
-        ca.ocsp_responder.misconfigured_revoke_all = True
-        assert ca.ocsp_responder.status_of(cert.serial, 0.0).status == CertStatus.REVOKED
-        ca.ocsp_responder.misconfigured_revoke_all = False
-        assert ca.ocsp_responder.status_of(cert.serial, 0.0).status == CertStatus.GOOD
+        responder = ca.ocsp_responder
+        broken = _revoke_all("ocsp.testca.net")
+        assert responder.status_of(cert.serial, 0.0, broken).status == CertStatus.REVOKED
+        assert responder.status_of(123456789, 0.0, broken).status == CertStatus.REVOKED
+        assert responder.status_of(cert.serial, 0.0).status == CertStatus.GOOD
+        elsewhere = _revoke_all("ocsp.other.net")
+        assert responder.status_of(cert.serial, 0.0, elsewhere).status == CertStatus.GOOD
 
     def test_response_validity_window(self, ca):
         response = ca.ocsp_responder.status_of(1, now=100.0)
@@ -120,9 +133,9 @@ class TestOcspClientCache:
     def test_sticky_bad_responses(self, ca):
         """The GlobalSign dynamic: a cached REVOKED response outlives the fix."""
         cache = OCSPResponseCache()
-        ca.ocsp_responder.misconfigured_revoke_all = True
-        bad = ca.ocsp_responder.status_of(1, now=0.0)
+        bad = ca.ocsp_responder.status_of(
+            1, now=0.0, injector=_revoke_all("ocsp.testca.net")
+        )
         cache.put(bad)
-        ca.ocsp_responder.misconfigured_revoke_all = False
         cached = cache.get(1, now=100.0)
         assert cached is not None and cached.status == CertStatus.REVOKED

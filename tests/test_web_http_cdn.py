@@ -99,13 +99,17 @@ class TestFabric:
             fabric.connect("10.9.9.9")
 
     def test_outage(self, server):
+        """A server is down for a client whose plan times out its
+        connects, and only for that client."""
         fabric = HttpFabric()
         fabric.register_server(server)
-        fabric.set_server_available(server, False)
+        down = FaultInjector(FaultPlan(rules=(
+            FaultRule(name="down", layer="web", kind="timeout",
+                      server=server.name),
+        )))
         with pytest.raises(ConnectionFailedError):
-            fabric.connect("10.1.0.1")
-        fabric.set_server_available(server, True)
-        assert fabric.connect("10.1.0.1") is server
+            fabric.connect("10.1.0.1", "x.com", injector=down)
+        assert fabric.connect("10.1.0.1", "x.com") is server
 
     def test_ip_conflict(self, server):
         fabric = HttpFabric()

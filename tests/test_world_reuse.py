@@ -28,7 +28,12 @@ from repro import World, WorldConfig, build_world
 from repro.cli import main
 from repro.core.pipeline import dns_display_directory
 from repro.engine import run_campaign, run_timeline
-from repro.failures import simulate_mass_revocation
+from repro.failures import (
+    simulate_ca_outage,
+    simulate_cdn_outage,
+    simulate_dns_outage,
+    simulate_mass_revocation,
+)
 from repro.faults import FaultPlan
 from repro.measurement.io import dataset_to_json
 from repro.measurement.runner import build_cdn_map, ca_directory, ranked_sites
@@ -89,17 +94,25 @@ def test_an_incident_replay_on_a_reused_world_matches_a_fresh_world(
     so are the staples the sites' servers hand it, so a second replay
     on the same world denies the sites the first one did. (With the
     clock and the staple caches on the world, the second replay found
-    4 of these 40 sites stapling still-fresh GOOD proofs.)"""
+    4 of these 40 sites stapling still-fresh GOOD proofs.) The outage
+    replays take their provider down on their own vantage only, so none
+    of them leaves the world changed for the next."""
     world = reused_worlds[42]
+    fresh = build_world(_config(42))
     sites = [
         w.domain for w in world.spec.websites if w.ca_key == "digicert"
     ][:40]
-    expected = simulate_mass_revocation(
-        build_world(_config(42)), "digicert", sites
+    replays = (
+        lambda w: simulate_mass_revocation(w, "digicert", sites),
+        lambda w: simulate_dns_outage(w, "dyn"),
+        lambda w: simulate_cdn_outage(w, "cloudfront"),
+        lambda w: simulate_ca_outage(w, "thawte"),
     )
-    assert len(expected.denied_during) == 40
-    assert simulate_mass_revocation(world, "digicert", sites) == expected
-    assert simulate_mass_revocation(world, "digicert", sites) == expected
+    expected = [replay(fresh) for replay in replays]
+    assert len(expected[0].denied_during) == 40
+    assert all(result.affected for result in expected[1:])
+    for _ in range(2):
+        assert [replay(world) for replay in replays] == expected
 
 
 def test_telemetry_stays_with_its_own_campaign():
@@ -146,7 +159,6 @@ def test_reading_an_epoch_world_builds_nothing(builds):
     assert ranked_sites(world, 10)
     assert build_cdn_map(world) is not None
     assert ca_directory(world)
-    world.restore_all()
     assert builds == []
     world.vantage()
     world.vantage()

@@ -3,6 +3,7 @@ its spec's observable artifacts."""
 
 import pytest
 
+from repro.failures import outage_fault_plan
 from repro.worldgen.spec import PRIVATE
 
 
@@ -145,17 +146,15 @@ class TestEntityAliases:
 
 class TestFaultInjection:
     def test_dns_outage_and_restore(self, world_2020):
+        """The outage reaches only the vantage that carries its plan."""
         victim = next(
             w for w in world_2020.spec.websites
             if w.dns.providers == ["dnsmadeeasy"]
         )
-        world_2020.take_down_dns_provider("dnsmadeeasy")
-        try:
-            client = world_2020.vantage().web_client
-            result = client.get(f"http://www.{victim.domain}/")
-            assert not result.ok
-        finally:
-            world_2020.restore_all()
+        down = world_2020.vantage(
+            faults=outage_fault_plan(world_2020, "dns", "dnsmadeeasy")
+        ).web_client
+        assert not down.get(f"http://www.{victim.domain}/").ok
         client = world_2020.vantage().web_client
         assert client.get(f"http://www.{victim.domain}/").ok
 
@@ -168,20 +167,17 @@ class TestFaultInjection:
         )
         infra = world_2020.website_infra[victim.domain]
         scheme = "https" if victim.https else "http"
-        world_2020.take_down_cdn("cloudfront")
-        try:
-            # Soft-fail (browser-like) clients: the landing page survives a
-            # CDN outage; hard-fail clients may not, since Amazon's own CA
-            # fronts its OCSP through CloudFront — the 2019 cascade.
-            client = world_2020.vantage(
-                policy=RevocationPolicy.SOFT_FAIL
-            ).web_client
-            landing = client.get(f"{scheme}://www.{victim.domain}/")
-            assert landing.ok
-            lost = [
-                host for host in infra.resource_hosts
-                if not client.get(f"{scheme}://{host}/x").ok
-            ]
-            assert lost
-        finally:
-            world_2020.restore_all()
+        # Soft-fail (browser-like) clients: the landing page survives a
+        # CDN outage; hard-fail clients may not, since Amazon's own CA
+        # fronts its OCSP through CloudFront — the 2019 cascade.
+        client = world_2020.vantage(
+            policy=RevocationPolicy.SOFT_FAIL,
+            faults=outage_fault_plan(world_2020, "cdn", "cloudfront"),
+        ).web_client
+        landing = client.get(f"{scheme}://www.{victim.domain}/")
+        assert landing.ok
+        lost = [
+            host for host in infra.resource_hosts
+            if not client.get(f"{scheme}://{host}/x").ok
+        ]
+        assert lost
