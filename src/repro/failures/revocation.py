@@ -47,14 +47,18 @@ def simulate_mass_revocation(
     The broken responder is an ``ocsp_revoked`` rule windowed over every
     rank of the world: it is live while the client probes inside a
     site's context (the incident), and dormant outside any site context
-    (after the fix), while the client keeps what it cached.
+    (after the fix), while the client keeps what it cached. Raises
+    ValueError for a CA key the world does not have.
     """
+    infra = world.ca_infra.get(ca_key)
+    if infra is None:
+        raise ValueError(f"no ca provider {ca_key!r} in this world")
     result = RevocationIncidentResult(ca_key=ca_key)
     revoke_all = FaultRule(
         name=f"{ca_key}-revokes-all",
         layer="tls",
         kind="ocsp_revoked",
-        server=world.ca_infra[ca_key].ca.ocsp_responder.host,
+        server=infra.ca.ocsp_responder.host,
         rank_window=(1, max(site.rank for site in world.spec.websites)),
     )
     vantage = world.vantage(

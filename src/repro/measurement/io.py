@@ -6,11 +6,12 @@ campaign from the (cheap, repeatable) analysis. :func:`dataset_to_json` /
 output round-trips through plain JSON, so analyses, ablations, and
 re-classifications run against a frozen dataset without a world.
 
-The per-record field mapping lives on the records themselves
-(``to_dict`` / ``from_dict`` on every :mod:`repro.measurement.records`
-dataclass, parity-checked statically by REP005); this module adds only
-the envelope — format versioning, upgrade paths for older payloads, and
-the canonical on-disk key order.
+A record's JSON object holds exactly its dataclass fields. One codec
+(:func:`record_codec`) derives each record class's encoder and decoder
+from a single read of its fields and resolved type hints, so the two
+cannot disagree; this module adds the envelope around it — format
+versioning, upgrade paths for older payloads, and the canonical on-disk
+key order.
 
 Format history:
 
@@ -36,8 +37,12 @@ current version, as the text of ``json.dumps(..., indent=1)`` produced by
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
-from typing import Any, Optional
+import types
+import typing
+from typing import Any, Callable, NamedTuple, Optional, Union
 
 from repro.measurement.jsonwriter import write_json
 from repro.measurement.records import Dataset, WebsiteMeasurement
@@ -115,6 +120,116 @@ def _canonical(obj: Any) -> Any:
             for item in obj
         ]
     return obj
+
+
+# -- the record codec --------------------------------------------------------
+
+#: Converts one field value; where a converter is ``None`` the value passes
+#: through as it is.
+_Convert = Callable[[Any], Any]
+
+_SCALARS = (str, int, float, bool)
+
+
+class RecordCodec(NamedTuple):
+    """The JSON mapping of one record class: ``encode`` turns a record into
+    a dict of its fields, ``decode`` builds the record back from one."""
+
+    encode: Callable[[Any], dict[str, Any]]
+    decode: Callable[[Any], Any]
+
+
+@functools.cache
+def record_codec(cls: type) -> RecordCodec:
+    """The codec of a frozen record dataclass, built once per class.
+
+    Nested records, ``Optional[X]``, ``list[X]``, ``tuple[X, ...]`` and
+    ``dict[str, X]`` fields are converted; scalars pass through,
+    and so does any container that holds no record (``write_json``
+    writes tuples as lists). Decoding always copies containers, so a
+    decoded record shares nothing with its payload.
+
+    Raises TypeError for a class that is not a frozen dataclass and for
+    a field whose type it cannot convert — a record that could change
+    after it was serialized, or whose value JSON cannot carry back.
+    """
+    params = getattr(cls, "__dataclass_params__", None)
+    if params is None or not params.frozen:
+        raise TypeError(f"{cls.__qualname__} is not a frozen dataclass")
+    hints = typing.get_type_hints(cls)
+    encoders: list[tuple[str, _Convert]] = []
+    decoders: list[tuple[str, Optional[_Convert]]] = []
+    for name in (f.name for f in dataclasses.fields(cls)):
+        try:
+            encode, decode = _converters(hints[name])
+        except TypeError as exc:
+            raise TypeError(f"{cls.__qualname__}.{name}: {exc}") from None
+        if encode is not None:
+            encoders.append((name, encode))
+        decoders.append((name, decode))
+    names = tuple(name for name, _ in decoders)
+
+    def encode_record(record: Any) -> dict[str, Any]:
+        out = {name: getattr(record, name) for name in names}
+        for name, convert in encoders:
+            out[name] = convert(out[name])
+        return out
+
+    def decode_record(data: Any) -> Any:
+        return cls(*[
+            data[name] if convert is None else convert(data[name])
+            for name, convert in decoders
+        ])
+
+    return RecordCodec(encode_record, decode_record)
+
+
+def _converters(tp: Any) -> tuple[Optional[_Convert], Optional[_Convert]]:
+    """``(encode, decode)`` for values of type ``tp``; ``None`` for either
+    passes the value through."""
+    if tp in _SCALARS:
+        return None, None
+    if isinstance(tp, type) and dataclasses.is_dataclass(tp):
+        codec = record_codec(tp)
+        return codec.encode, codec.decode
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    optional = origin in (Union, types.UnionType) and type(None) in args
+    if optional and len(args) == 2:
+        inner = args[1] if args[0] is type(None) else args[0]
+        encode, decode = _converters(inner)
+        return _or_none(encode), _or_none(decode)
+    if origin is list or (origin is tuple and args[1:] == (Ellipsis,)):
+        encode, decode = _converters(args[0])
+        rebuild = list if origin is list else tuple
+        return (
+            None if encode is None else _each(encode, list),
+            rebuild if decode is None else _each(decode, rebuild),
+        )
+    if origin is dict and args[0] is str:
+        encode, decode = _converters(args[1])
+        return (
+            None if encode is None else _each_value(encode),
+            dict if decode is None else _each_value(decode),
+        )
+    raise TypeError(f"cannot convert a value of type {tp!r}")
+
+
+def _or_none(convert: Optional[_Convert]) -> Optional[_Convert]:
+    if convert is None:
+        return None
+    return lambda value: None if value is None else convert(value)
+
+
+def _each(convert: _Convert, rebuild: Callable[[Any], Any]) -> _Convert:
+    return lambda values: rebuild([convert(value) for value in values])
+
+
+def _each_value(convert: _Convert) -> _Convert:
+    return lambda values: {key: convert(v) for key, v in values.items()}
+
+
+_DATASET = record_codec(Dataset)
+_WEBSITE = record_codec(WebsiteMeasurement)
 
 
 # -- upgrade paths (one version step each, pure dict transforms) ------------
@@ -231,7 +346,7 @@ def upgrade_dataset_payload(payload: dict[str, Any]) -> dict[str, Any]:
 def dataset_to_json(dataset: Dataset) -> str:
     """Serialize a dataset to a JSON string (stable key order; ``notes``
     keep their insertion order)."""
-    payload = dict(dataset.to_dict())
+    payload = _DATASET.encode(dataset)
     payload["format_version"] = FORMAT_VERSION
     canonical = _canonical(payload)
     # notes are campaign-ordered, not alphabetical; reassignment keeps the
@@ -248,7 +363,9 @@ def dataset_from_json(text: str) -> Dataset:
     """
     payload = _load_object(text, "dataset")
     try:
-        return Dataset.from_dict(upgrade_dataset_payload(payload))
+        current = upgrade_dataset_payload(payload)
+        # ``notes`` is the one field a dataset payload may omit.
+        return _DATASET.decode({"notes": {}, **current})
     except DatasetFormatError:
         raise
     except _MALFORMED as exc:
@@ -270,7 +387,7 @@ def shard_to_json(
     """
     payload: dict[str, Any] = {
         "shard_format_version": SHARD_FORMAT_VERSION,
-        "websites": [w.to_dict() for w in websites],
+        "websites": [_WEBSITE.encode(w) for w in websites],
     }
     if metrics is not None:
         payload["metrics"] = metrics
@@ -301,7 +418,7 @@ def shard_payload_from_json(
             version = 2
         if version == 2:
             entries = [_website_v2_to_v3(entry) for entry in entries]
-        websites = [WebsiteMeasurement.from_dict(entry) for entry in entries]
+        websites = [_WEBSITE.decode(entry) for entry in entries]
         metrics = payload.get("metrics")
         if metrics is not None:  # refuse it here, not in the resume merge
             MetricsRegistry.from_dict(metrics)

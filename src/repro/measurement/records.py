@@ -5,22 +5,23 @@ nameserver sets, SOA identities, certificates' SAN/AIA/CDP fields,
 stapling flags, resource hostnames, and CNAME chains. Classification
 happens later, in :mod:`repro.core.classification`.
 
-Every record is a **frozen** dataclass carrying its own ``to_dict`` /
-``from_dict`` pair; :mod:`repro.measurement.io` adds only the envelope
-(format version, canonical key order). REP005 statically enforces the
-contract: frozen, both methods present, and both methods' key sets
-exactly equal to the dataclass's field set — so a record can never
-serialize fields it does not restore, or vice versa. Fields holding
+Every record is a **frozen** dataclass and nothing more: its JSON form
+is its fields, mapped by the one field-driven codec in
+:mod:`repro.measurement.io`, which also adds the envelope (format
+version, canonical key order). The codec refuses a record class that is
+not frozen, or a field type it cannot convert, when it builds the class's
+encoder and decoder; both come from the one field list, so a record can
+never serialize fields it does not restore, or vice versa. Fields holding
 containers are filled at construction time; the one sanctioned
 post-construction mutation is *adding entries to container fields*
 (e.g. the campaign appending websites to a ``Dataset``), which never
-invalidates the field-set contract.
+changes the field set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -35,33 +36,6 @@ class SoaIdentity:
         if soa is None:
             return None
         return cls(mname=soa.mname, rname=soa.rname)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"mname": self.mname, "rname": self.rname}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SoaIdentity":
-        return cls(mname=data["mname"], rname=data["rname"])
-
-
-def _soa_to_dict(soa: Optional[SoaIdentity]) -> Optional[dict[str, Any]]:
-    return None if soa is None else soa.to_dict()
-
-
-def _soa_from_dict(data: Optional[dict[str, Any]]) -> Optional[SoaIdentity]:
-    return None if data is None else SoaIdentity.from_dict(data)
-
-
-def _soa_map_to_dict(
-    soas: dict[str, Optional[SoaIdentity]]
-) -> dict[str, Optional[dict[str, Any]]]:
-    return {name: _soa_to_dict(soa) for name, soa in soas.items()}
-
-
-def _soa_map_from_dict(
-    data: dict[str, Optional[dict[str, Any]]]
-) -> dict[str, Optional[SoaIdentity]]:
-    return {name: _soa_from_dict(soa) for name, soa in data.items()}
 
 
 @dataclass(frozen=True)
@@ -87,31 +61,6 @@ class DnsObservation:
     @property
     def characterizable(self) -> bool:
         return bool(self.nameservers)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "domain": self.domain,
-            "nameservers": self.nameservers,
-            "website_soa": _soa_to_dict(self.website_soa),
-            "nameserver_soas": _soa_map_to_dict(self.nameserver_soas),
-            "resolvable": self.resolvable,
-            "attempts": self.attempts,
-            "failure_mode": self.failure_mode,
-            "degraded": self.degraded,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "DnsObservation":
-        return cls(
-            domain=data["domain"],
-            nameservers=list(data["nameservers"]),
-            website_soa=_soa_from_dict(data["website_soa"]),
-            nameserver_soas=_soa_map_from_dict(data["nameserver_soas"]),
-            resolvable=data["resolvable"],
-            attempts=data["attempts"],
-            failure_mode=data["failure_mode"],
-            degraded=data["degraded"],
-        )
 
 
 @dataclass(frozen=True)
@@ -142,37 +91,6 @@ class TlsObservation:
                 hosts.append(host)
         return hosts
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "domain": self.domain,
-            "https": self.https,
-            "san": list(self.san),
-            "issuer": self.issuer,
-            "ocsp_urls": list(self.ocsp_urls),
-            "crl_urls": list(self.crl_urls),
-            "ocsp_stapled": self.ocsp_stapled,
-            "endpoint_soas": _soa_map_to_dict(self.endpoint_soas),
-            "attempts": self.attempts,
-            "failure_mode": self.failure_mode,
-            "degraded": self.degraded,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TlsObservation":
-        return cls(
-            domain=data["domain"],
-            https=data["https"],
-            san=tuple(data["san"]),
-            issuer=data["issuer"],
-            ocsp_urls=tuple(data["ocsp_urls"]),
-            crl_urls=tuple(data["crl_urls"]),
-            ocsp_stapled=data["ocsp_stapled"],
-            endpoint_soas=_soa_map_from_dict(data["endpoint_soas"]),
-            attempts=data["attempts"],
-            failure_mode=data["failure_mode"],
-            degraded=data["degraded"],
-        )
-
 
 @dataclass(frozen=True)
 class CdnObservation:
@@ -191,35 +109,6 @@ class CdnObservation:
     failure_mode: str = ""
     degraded: bool = False
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "domain": self.domain,
-            "crawl_ok": self.crawl_ok,
-            "resource_hostnames": self.resource_hostnames,
-            "internal_hostnames": self.internal_hostnames,
-            "cname_chains": self.cname_chains,
-            "detected_cdns": self.detected_cdns,
-            "cname_soas": _soa_map_to_dict(self.cname_soas),
-            "attempts": self.attempts,
-            "failure_mode": self.failure_mode,
-            "degraded": self.degraded,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CdnObservation":
-        return cls(
-            domain=data["domain"],
-            crawl_ok=data["crawl_ok"],
-            resource_hostnames=list(data["resource_hostnames"]),
-            internal_hostnames=list(data["internal_hostnames"]),
-            cname_chains={k: list(v) for k, v in data["cname_chains"].items()},
-            detected_cdns={k: list(v) for k, v in data["detected_cdns"].items()},
-            cname_soas=_soa_map_from_dict(data["cname_soas"]),
-            attempts=data["attempts"],
-            failure_mode=data["failure_mode"],
-            degraded=data["degraded"],
-        )
-
 
 @dataclass(frozen=True)
 class WebsiteMeasurement:
@@ -230,25 +119,6 @@ class WebsiteMeasurement:
     dns: DnsObservation
     tls: TlsObservation
     cdn: CdnObservation
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "domain": self.domain,
-            "rank": self.rank,
-            "dns": self.dns.to_dict(),
-            "tls": self.tls.to_dict(),
-            "cdn": self.cdn.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "WebsiteMeasurement":
-        return cls(
-            domain=data["domain"],
-            rank=data["rank"],
-            dns=DnsObservation.from_dict(data["dns"]),
-            tls=TlsObservation.from_dict(data["tls"]),
-            cdn=CdnObservation.from_dict(data["cdn"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -262,25 +132,6 @@ class ProviderDnsObservation:
     domain_soa: Optional[SoaIdentity] = None
     nameserver_soas: dict[str, Optional[SoaIdentity]] = field(default_factory=dict)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "provider_name": self.provider_name,
-            "service_domain": self.service_domain,
-            "nameservers": self.nameservers,
-            "domain_soa": _soa_to_dict(self.domain_soa),
-            "nameserver_soas": _soa_map_to_dict(self.nameserver_soas),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ProviderDnsObservation":
-        return cls(
-            provider_name=data["provider_name"],
-            service_domain=data["service_domain"],
-            nameservers=list(data["nameservers"]),
-            domain_soa=_soa_from_dict(data["domain_soa"]),
-            nameserver_soas=_soa_map_from_dict(data["nameserver_soas"]),
-        )
-
 
 @dataclass(frozen=True)
 class RevocationEndpointObservation:
@@ -291,25 +142,6 @@ class RevocationEndpointObservation:
     cname_chains: dict[str, list[str]] = field(default_factory=dict)
     detected_cdns: dict[str, list[str]] = field(default_factory=dict)
     cname_soas: dict[str, Optional[SoaIdentity]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "ca_name": self.ca_name,
-            "endpoint_hosts": self.endpoint_hosts,
-            "cname_chains": self.cname_chains,
-            "detected_cdns": self.detected_cdns,
-            "cname_soas": _soa_map_to_dict(self.cname_soas),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RevocationEndpointObservation":
-        return cls(
-            ca_name=data["ca_name"],
-            endpoint_hosts=list(data["endpoint_hosts"]),
-            cname_chains={k: list(v) for k, v in data["cname_chains"].items()},
-            detected_cdns={k: list(v) for k, v in data["detected_cdns"].items()},
-            cname_soas=_soa_map_from_dict(data["cname_soas"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -336,35 +168,3 @@ class Dataset:
     def top(self, k: int) -> list[WebsiteMeasurement]:
         """Measurements for the top-k websites by rank."""
         return [w for w in self.websites if w.rank <= k]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "year": self.year,
-            "websites": [w.to_dict() for w in self.websites],
-            "cdn_dns": {n: o.to_dict() for n, o in self.cdn_dns.items()},
-            "ca_dns": {n: o.to_dict() for n, o in self.ca_dns.items()},
-            "ca_cdn": {n: o.to_dict() for n, o in self.ca_cdn.items()},
-            "notes": dict(self.notes),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Dataset":
-        return cls(
-            year=data["year"],
-            websites=[
-                WebsiteMeasurement.from_dict(entry) for entry in data["websites"]
-            ],
-            cdn_dns={
-                name: ProviderDnsObservation.from_dict(entry)
-                for name, entry in data["cdn_dns"].items()
-            },
-            ca_dns={
-                name: ProviderDnsObservation.from_dict(entry)
-                for name, entry in data["ca_dns"].items()
-            },
-            ca_cdn={
-                name: RevocationEndpointObservation.from_dict(entry)
-                for name, entry in data["ca_cdn"].items()
-            },
-            notes=dict(data.get("notes", {})),
-        )

@@ -3,15 +3,16 @@
 PR 1's engine promises byte-identical datasets at any worker or shard
 count. That guarantee rests on coding conventions — seeded RNGs only,
 no wall-clock reads outside the sanctioned modules, sorted iteration of
-sets, pickle-safe worker entry points, and a frozen serialization
-contract. This package enforces those conventions statically, at CI
-time, with a small AST-based rule framework:
+sets, and pickle-safe worker entry points. This package enforces those
+conventions statically, at CI time, with a small AST-based rule
+framework:
 
 * :mod:`repro.staticcheck.model`   — findings, suppressions, results
 * :mod:`repro.staticcheck.config`  — per-rule configuration + defaults
 * :mod:`repro.staticcheck.driver`  — file walking, parsing, noqa filter
 * :mod:`repro.staticcheck.report`  — text / JSON reporters, exit codes
-* :mod:`repro.staticcheck.rules`   — the REP001..REP005 rule pack
+* :mod:`repro.staticcheck.rules`   — the REP001, REP003, REP006..REP010
+  rule pack
 
 Inline suppressions use ``# repro: noqa[REP001] -- reason`` comments;
 the self-check test requires every suppression in ``src/`` to carry a

@@ -2,7 +2,8 @@
 
 ``DEFAULT_CONFIG`` encodes *this repository's* contract — the layer
 DAG, the sanctioned time/randomness modules, the executor entry points
-the worker-safety rule watches, and the serialization-contract module.
+the worker-safety rule watches, and the record modules whose
+constructors the taint rule treats as serialization sinks.
 Tests override individual knobs to lint fixture corpora.
 """
 
@@ -93,11 +94,6 @@ class LintConfig:
     )
     rep009_callable_kwargs: frozenset[str] = frozenset({"initializer", "target"})
 
-    # REP005: modules whose dataclasses form the serialization contract.
-    rep005_record_modules: frozenset[str] = frozenset(
-        {"repro.measurement.records"}
-    )
-
     # REP006: telemetry's wall-clock boundary. ``wallclock_modules`` are
     # the only telemetry modules that may read real time (the profiling
     # side); ``serialized_modules`` sit on the serialization path (span/
@@ -165,6 +161,11 @@ class LintConfig:
     rep007_digest_prefixes: frozenset[str] = frozenset({"hashlib."})
     rep007_sink_returns: frozenset[str] = frozenset(
         {"to_dict", "to_json", "as_dict"}
+    )
+    # REP007: modules whose dataclass constructors are sinks too — a
+    # measurement record's fields are what the dataset serializes.
+    rep007_record_modules: frozenset[str] = frozenset(
+        {"repro.measurement.records"}
     )
 
     # REP009: extra worker entry points, as ``dotted.module:function``.

@@ -8,7 +8,6 @@ from pathlib import Path
 from repro.staticcheck.rules.base import Rule
 from repro.staticcheck.rules.rep001_determinism import DeterminismRule
 from repro.staticcheck.rules.rep003_layering import LayeringRule
-from repro.staticcheck.rules.rep005_serialization import SerializationContractRule
 from repro.staticcheck.rules.rep006_telemetry import TelemetryBoundaryRule
 from repro.staticcheck.rules.rep007_taint import TaintTrackingRule
 from repro.staticcheck.rules.rep008_flow_iteration import FlowIterationRule
@@ -33,7 +32,6 @@ def ruleset_digest(root: Path = Path(__file__).resolve().parent.parent) -> str:
 ALL_RULES: tuple[Rule, ...] = (
     DeterminismRule(),
     LayeringRule(),
-    SerializationContractRule(),
     TelemetryBoundaryRule(),
     TaintTrackingRule(),
     FlowIterationRule(),

@@ -17,7 +17,7 @@ draws (``os.urandom``, module-level ``random.*``, ``uuid.uuid4``,
 
 Sinks: ``json.dump``/``json.dumps`` / ``pickle.dump*`` arguments,
 digest inputs (``hashlib.*`` constructor arguments), record
-constructors (calls resolving into ``rep005_record_modules``), and
+constructors (calls resolving into ``rep007_record_modules``), and
 values returned from serialization methods (``to_dict``/``to_json``/
 ``as_dict``).
 
@@ -101,7 +101,7 @@ class TaintTrackingRule(Rule):
         for prefix in config.rep007_digest_prefixes:
             if target.startswith(prefix):
                 return f"digest input {target}(...)"
-        for record_module in config.rep005_record_modules:
+        for record_module in config.rep007_record_modules:
             if target.startswith(record_module + "."):
                 ctor = target.rsplit(".", 1)[1]
                 return f"record constructor {ctor}(...)"

@@ -11,26 +11,11 @@ revocation *logic* is what the study exercises.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.names.normalize import normalize
 from repro.names.registrable import matches_san_entry
-
-_serial_counter = itertools.count(1000)
-
-
-def next_serial() -> int:
-    """Allocate a process-unique serial number (ad-hoc certificates only).
-
-    Issuance through :class:`~repro.tlssim.ca.CertificateAuthority` uses
-    :func:`deterministic_serial` instead — serials key fault-injection
-    draws, so they must not depend on how many certificates happened to
-    be minted earlier in the interpreter.
-    """
-    return next(_serial_counter)
-
 
 def deterministic_serial(issuer: str, subject: str, index: int) -> int:
     """Derive a stable serial from the issuance context.

@@ -19,7 +19,7 @@ from repro.dnssim.client import DigClient
 from repro.dnssim.clock import SimulatedClock
 from repro.dnssim.resolver import IterativeResolver
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, FaultPlanError
 from repro.tlssim.validation import RevocationPolicy
 from repro.websim.client import WebClient
 from repro.websim.crawler import Crawler
@@ -124,12 +124,16 @@ class World:
         it) start empty. Vantages share none of this with each other, so
         what one sees never depends on what another did before it. An
         empty plan gives no injector: every layer keeps its fault-free
-        fast path, byte-identical to a plan-less vantage.
+        fast path, byte-identical to a plan-less vantage. An invalid plan
+        raises :class:`~repro.faults.plan.FaultPlanError` naming every
+        problem.
         """
         m = self._m
         injector = None
         if faults is not None:
-            faults.validate()
+            problems = faults.validate()
+            if problems:
+                raise FaultPlanError("; ".join(problems))
             if not faults.empty:
                 injector = FaultInjector(faults)
         clock = SimulatedClock(start=BUILD_TIME)

@@ -179,6 +179,12 @@ class TestMassRevocation:
         assert set(result.denied_after_fix_cached) == set(result.denied_during)
         assert set(result.recovered_after_expiry) == set(result.denied_during)
 
+    def test_unknown_ca_is_named(self, world_2020):
+        with pytest.raises(
+            ValueError, match="no ca provider 'route53' in this world"
+        ):
+            simulate_mass_revocation(world_2020, "route53", [])
+
 
 class TestWhatIf:
     def test_exposure_report_for_academia(self, snapshot_2020):

@@ -31,7 +31,7 @@ from repro.faults import (
     TLS_FAULT_KINDS,
     WEB_FAULT_KINDS,
 )
-from repro.engine import run_campaign
+from repro.engine import CampaignStats, run_campaign
 from repro.measurement.io import dataset_to_json
 
 FAULTS_N = 120
@@ -214,6 +214,22 @@ class TestFaultPlanSerialization:
     def test_malformed_plans_raise_fault_plan_error(self, text):
         with pytest.raises(FaultPlanError):
             FaultPlan.from_json(text)
+
+
+class TestInvalidPlansAreRefused:
+    def test_vantage_and_campaign_refuse_before_measuring(self):
+        plan = FaultPlan(rules=(
+            FaultRule(name="bad", layer="dns", kind="nope", probability=2.0),
+        ))
+        world = build_world(WorldConfig(n_websites=100, seed=5))
+        with pytest.raises(FaultPlanError) as excinfo:
+            world.vantage(faults=plan)
+        assert "unknown dns fault kind 'nope'" in str(excinfo.value)
+        assert "probability 2.0 outside [0, 1]" in str(excinfo.value)
+        stats = CampaignStats()
+        with pytest.raises(FaultPlanError):
+            run_campaign(world=world, fault_plan=plan, stats=stats)
+        assert stats.sites_done == 0
 
 
 class TestFaultInjector:

@@ -34,9 +34,11 @@ from repro.measurement.io import (
     FORMAT_VERSION,
     SHARD_FORMAT_VERSION,
     dataset_to_json,
+    record_codec,
     shard_to_json,
 )
 from repro.measurement.jsonwriter import write_json
+from repro.measurement.records import Dataset, WebsiteMeasurement
 from repro.measurement.runner import MeasurementCampaign, ranked_sites
 from repro.query import QueryEngine, payload_to_json
 from repro.serve.protocol import diff_payloads, error_payload, parse_query
@@ -218,7 +220,7 @@ def artifacts() -> dict[str, Any]:
 class TestArtifacts:
     def test_dataset(self, artifacts):
         dataset = artifacts["dataset"]
-        payload = dict(dataset.to_dict())
+        payload = record_codec(Dataset).encode(dataset)
         payload["format_version"] = FORMAT_VERSION
         canonical = reference_canonical(payload)
         canonical["notes"] = dict(dataset.notes)
@@ -228,9 +230,10 @@ class TestArtifacts:
     def test_shard_with_and_without_metrics(self, artifacts):
         websites, metrics = artifacts["websites"], artifacts["metrics"]
         assert metrics and metrics["counters"] and metrics["histograms"]
+        encode = record_codec(WebsiteMeasurement).encode
         payload: dict[str, Any] = {
             "shard_format_version": SHARD_FORMAT_VERSION,
-            "websites": [w.to_dict() for w in websites],
+            "websites": [encode(w) for w in websites],
         }
         assert shard_to_json(websites) == json.dumps(
             reference_canonical(payload), indent=1

@@ -1,13 +1,16 @@
 """Tests for dataset JSON serialization (measure once, analyze offline)."""
 
+import dataclasses
 import json
 from pathlib import Path
+from typing import Any, Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import analyze_dataset
+from repro.measurement import records
 from repro.measurement.io import (
     FORMAT_VERSION,
     DatasetFormatError,
@@ -17,6 +20,7 @@ from repro.measurement.io import (
     dataset_from_json,
     dataset_to_json,
     load_dataset,
+    record_codec,
     save_dataset,
     shard_from_json,
     shard_payload_from_json,
@@ -338,6 +342,57 @@ class TestNotesOrder:
         dataset = snapshot_2020.dataset
         restored = dataset_from_json(dataset_to_json(dataset))
         assert list(restored.notes) == list(dataset.notes)
+
+    def test_notes_are_the_one_field_a_payload_may_omit(self):
+        payload = json.loads(dataset_to_json(Dataset(year=2020)))
+        del payload["notes"]
+        assert dataset_from_json(json.dumps(payload)).notes == {}
+        del payload["ca_cdn"]
+        with pytest.raises(DatasetFormatError, match="ca_cdn"):
+            dataset_from_json(json.dumps(payload))
+
+
+class TestRecordCodec:
+    """The codec keeps the serialization contract by construction: it
+    refuses, when it builds a class's encoder and decoder, a record that
+    is not frozen or a field type it cannot convert."""
+
+    def test_every_record_class_is_frozen_and_has_a_codec(self):
+        classes = [
+            value for value in vars(records).values()
+            if isinstance(value, type) and dataclasses.is_dataclass(value)
+            and value.__module__ == records.__name__
+        ]
+        assert len(classes) == 8
+        for cls in classes:
+            assert cls.__dataclass_params__.frozen, cls.__name__
+            record_codec(cls)
+
+    def test_refuses_a_class_that_is_not_frozen(self):
+        mutable = dataclasses.make_dataclass("Mutable", [("domain", str)])
+        with pytest.raises(TypeError, match="Mutable is not a frozen"):
+            record_codec(mutable)
+
+    @pytest.mark.parametrize(
+        "field_type",
+        [set[str], dict[int, str], tuple[str, int], Any, list[Any],
+         Optional[set[str]]],
+        ids=repr,
+    )
+    def test_refuses_a_field_type_it_cannot_convert(self, field_type):
+        tagged = dataclasses.make_dataclass(
+            "Tagged", [("tags", field_type)], frozen=True
+        )
+        with pytest.raises(TypeError, match="Tagged.tags: cannot convert"):
+            record_codec(tagged)
+
+    def test_refuses_a_mutable_nested_record(self):
+        inner = dataclasses.make_dataclass("Inner", [("name", str)])
+        outer = dataclasses.make_dataclass(
+            "Outer", [("inner", inner)], frozen=True
+        )
+        with pytest.raises(TypeError, match="Outer.inner: Inner is not"):
+            record_codec(outer)
 
 
 class TestShardRoundtrip:

@@ -1,5 +1,6 @@
 """Property-based tests (hypothesis) for core data structures & invariants."""
 
+import json
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -9,9 +10,20 @@ from repro.dnssim.cache import DnsCache, NegativeCacheHit
 from repro.dnssim.clock import SimulatedClock
 from repro.dnssim.records import ARecord, RRType, ResourceRecord
 from repro.faults.plan import FaultPlan, FaultRule
+from repro.measurement.io import (
+    dataset_from_json,
+    dataset_to_json,
+    record_codec,
+    shard_from_json,
+    shard_to_json,
+)
+from repro.measurement.jsonwriter import write_json
 from repro.measurement.records import (
     CdnObservation,
+    Dataset,
     DnsObservation,
+    ProviderDnsObservation,
+    RevocationEndpointObservation,
     SoaIdentity,
     TlsObservation,
     WebsiteMeasurement,
@@ -256,37 +268,102 @@ _website_measurements = st.builds(
     tls=_tls_observations,
     cdn=_cdn_observations,
 )
+_provider_dns_observations = st.builds(
+    ProviderDnsObservation,
+    provider_name=_label,
+    service_domain=_hostnames,
+    nameservers=_hostname_lists,
+    domain_soa=_soas,
+    nameserver_soas=_soa_maps,
+)
+_revocation_endpoint_observations = st.builds(
+    RevocationEndpointObservation,
+    ca_name=_label,
+    endpoint_hosts=_hostname_lists,
+    cname_chains=_chain_maps,
+    detected_cdns=_chain_maps,
+    cname_soas=_soa_maps,
+)
+_datasets = st.builds(
+    Dataset,
+    year=st.sampled_from([2016, 2020]),
+    websites=st.lists(_website_measurements, max_size=3),
+    cdn_dns=st.dictionaries(
+        _label, _provider_dns_observations, min_size=1, max_size=3
+    ),
+    ca_dns=st.dictionaries(
+        _label, _provider_dns_observations, min_size=1, max_size=3
+    ),
+    ca_cdn=st.dictionaries(
+        _label, _revocation_endpoint_observations, min_size=1, max_size=3
+    ),
+    notes=st.dictionaries(_label, st.integers(0, 10_000), max_size=4),
+)
+
+
+def _codec_roundtrip(record):
+    """Encode, write as JSON text, parse and decode one record."""
+    codec = record_codec(type(record))
+    return codec.decode(json.loads(write_json(codec.encode(record))))
 
 
 class TestRecordRoundtripProperties:
-    """to_dict/from_dict is the identity on every v3 record shape —
-    including the degradation triple fault injection fills in."""
+    """The record codec is the identity through JSON text on every record
+    class — including degraded observations, ``None`` SOAs and non-empty
+    inter-service maps."""
+
+    @given(_soas.filter(lambda soa: soa is not None))
+    def test_soa_identity_roundtrip(self, soa):
+        assert _codec_roundtrip(soa) == soa
 
     @given(_dns_observations)
     @settings(max_examples=50)
     def test_dns_observation_roundtrip(self, observation):
-        assert DnsObservation.from_dict(observation.to_dict()) == observation
+        assert _codec_roundtrip(observation) == observation
 
     @given(_tls_observations)
     @settings(max_examples=50)
     def test_tls_observation_roundtrip(self, observation):
-        assert TlsObservation.from_dict(observation.to_dict()) == observation
+        assert _codec_roundtrip(observation) == observation
 
     @given(_cdn_observations)
     @settings(max_examples=50)
     def test_cdn_observation_roundtrip(self, observation):
-        assert CdnObservation.from_dict(observation.to_dict()) == observation
+        assert _codec_roundtrip(observation) == observation
+
+    @given(_website_measurements)
+    @settings(max_examples=25)
+    def test_website_measurement_roundtrip(self, website):
+        assert _codec_roundtrip(website) == website
 
     @given(_website_measurements)
     @settings(max_examples=25)
     def test_website_measurement_roundtrip_through_shard_json(self, website):
-        from repro.measurement.io import shard_from_json, shard_to_json
-
         payload = shard_to_json([website])
         restored = shard_from_json(payload)
         assert restored == [website]
         # Re-serialization is byte-stable (the checkpoint/merge contract).
         assert shard_to_json(restored) == payload
+
+    @given(_provider_dns_observations)
+    @settings(max_examples=50)
+    def test_provider_dns_observation_roundtrip(self, observation):
+        assert _codec_roundtrip(observation) == observation
+
+    @given(_revocation_endpoint_observations)
+    @settings(max_examples=50)
+    def test_revocation_endpoint_observation_roundtrip(self, observation):
+        assert _codec_roundtrip(observation) == observation
+
+    @given(_datasets)
+    @settings(max_examples=25)
+    def test_dataset_roundtrip_through_dataset_json(self, dataset):
+        assert _codec_roundtrip(dataset) == dataset
+        text = dataset_to_json(dataset)
+        restored = dataset_from_json(text)
+        assert restored == dataset
+        assert list(restored.notes) == list(dataset.notes)
+        assert dataset_to_json(restored) == text
 
 
 _fault_rules = st.builds(

@@ -1,5 +1,5 @@
 """Unit tests for the invariant linter's rule pack (REP001, REP003,
-REP005–REP010).
+REP006–REP010).
 
 Each rule gets a bad snippet that must flag, a good snippet that must
 pass, and a noqa-suppression path. The on-disk corpus under
@@ -338,103 +338,6 @@ class TestRep004WorkerSafety:
         assert result.clean
 
 
-class TestRep005SerializationContract:
-    RECORDS = "repro.measurement.records"
-
-    def test_unfrozen_record_is_flagged(self):
-        result = lint(
-            """
-            from dataclasses import dataclass
-
-            @dataclass
-            class Rec:
-                domain: str
-
-                def to_dict(self):
-                    return {"domain": self.domain}
-
-                @classmethod
-                def from_dict(cls, data):
-                    return cls(domain=data["domain"])
-            """,
-            module=self.RECORDS,
-        )
-        assert rule_ids_of(result) == ["REP005"]
-        assert "frozen=True" in result.findings[0].message
-
-    def test_key_field_drift_is_flagged_both_ways(self):
-        result = lint(
-            """
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class Rec:
-                domain: str
-                rank: int
-
-                def to_dict(self):
-                    return {"domain": self.domain, "extra": 1}
-
-                @classmethod
-                def from_dict(cls, data):
-                    return cls(domain=data["domain"], rank=0)
-            """,
-            module=self.RECORDS,
-        )
-        messages = " | ".join(f.message for f in result.findings)
-        assert rule_ids_of(result) == ["REP005"] * 3
-        assert "['extra']" in messages  # to_dict key that is not a field
-        assert "omits field(s) ['rank']" in messages
-
-    def test_missing_methods_are_flagged(self):
-        result = lint(
-            """
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class Rec:
-                domain: str
-            """,
-            module=self.RECORDS,
-        )
-        assert rule_ids_of(result) == ["REP005"]
-        assert "to_dict and from_dict" in result.findings[0].message
-
-    def test_compliant_record_passes(self):
-        result = lint(
-            """
-            from dataclasses import dataclass
-
-            @dataclass(frozen=True)
-            class Rec:
-                domain: str
-                rank: int = 0
-
-                def to_dict(self):
-                    return {"domain": self.domain, "rank": self.rank}
-
-                @classmethod
-                def from_dict(cls, data):
-                    return cls(domain=data["domain"], rank=data.get("rank", 0))
-            """,
-            module=self.RECORDS,
-        )
-        assert result.clean
-
-    def test_rule_only_applies_to_record_modules(self):
-        result = lint(
-            """
-            from dataclasses import dataclass
-
-            @dataclass
-            class Helper:
-                value: int
-            """,
-            module="repro.core.metrics",
-        )
-        assert result.clean
-
-
 class TestRep006TelemetryBoundary:
     def test_core_importing_telemetry_is_flagged(self):
         result = lint(
@@ -669,6 +572,23 @@ class TestRep007TaintTracking:
             config=only("REP007"),
         )
         assert rule_ids_of(result) == ["REP007"]
+
+    def test_wallclock_into_a_record_constructor(self):
+        result = lint(
+            """
+            import time
+
+            from repro.measurement.records import SoaIdentity
+
+
+            def stamp() -> SoaIdentity:
+                started = time.time()
+                return SoaIdentity(mname=str(started), rname="r.example")
+            """,
+            config=only("REP007"),
+        )
+        (finding,) = result.findings
+        assert "record constructor SoaIdentity(...)" in finding.message
 
     def test_entropy_into_digest(self):
         result = lint(

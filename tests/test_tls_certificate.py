@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.tlssim.certificate import Certificate, CertificateChain, next_serial
+from repro.tlssim.certificate import (
+    Certificate,
+    CertificateChain,
+    deterministic_serial,
+)
 
 
 def make_cert(**overrides) -> Certificate:
@@ -10,17 +14,28 @@ def make_cert(**overrides) -> Certificate:
         subject="example.com",
         san=("example.com", "*.example.com"),
         issuer_name="test intermediate ca",
-        serial=next_serial(),
         not_before=0.0,
         not_after=1000.0,
     )
     defaults.update(overrides)
+    defaults.setdefault(
+        "serial",
+        deterministic_serial(defaults["issuer_name"], defaults["subject"], 0),
+    )
     return Certificate(**defaults)
 
 
 class TestCertificate:
     def test_serials_unique(self):
-        assert next_serial() != next_serial()
+        issuance = ("test intermediate ca", "example.com", 0)
+        serials = {
+            deterministic_serial(*issuance),
+            deterministic_serial("other ca", "example.com", 0),
+            deterministic_serial("test intermediate ca", "example.org", 0),
+            deterministic_serial("test intermediate ca", "example.com", 1),
+        }
+        assert len(serials) == 4
+        assert deterministic_serial(*issuance) == deterministic_serial(*issuance)
 
     def test_normalization(self):
         cert = make_cert(subject="Example.COM", san=("WWW.Example.COM",))

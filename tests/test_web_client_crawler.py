@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import FaultPlan, FaultRule
 from repro.tlssim.validation import RevocationPolicy
 from repro.websim.crawler import CrawlResult
 
@@ -60,18 +61,18 @@ class TestWebClient:
             w for w in world_2020.spec.websites
             if w.https and w.ca_key not in (None, "_private") and not w.ocsp_stapled
         )
-        infra = world_2020.website_infra[spec.domain]
-        ca = infra.issuing_ca
-        ca.revoke(infra.chain.leaf.serial)
-        try:
-            client = world_2020.vantage(
-                policy=RevocationPolicy.HARD_FAIL
-            ).web_client
-            result = client.get(f"https://www.{spec.domain}/")
-            assert not result.ok
-            assert "revoked" in result.error
-        finally:
-            ca.unrevoke(infra.chain.leaf.serial)
+        responder = world_2020.website_infra[spec.domain].issuing_ca.ocsp_responder
+        revoked = FaultRule(
+            name="revoked", layer="tls", kind="ocsp_revoked",
+            server=responder.host,
+        )
+        client = world_2020.vantage(
+            policy=RevocationPolicy.HARD_FAIL,
+            faults=FaultPlan(rules=(revoked,)),
+        ).web_client
+        result = client.get(f"https://www.{spec.domain}/")
+        assert not result.ok
+        assert "revoked" in result.error
 
 
 class TestCrawler:
