@@ -1049,7 +1049,6 @@ def cmd_stats(args) -> int:
 
     if os.path.isdir(args.path):
         from repro.engine.checkpoint import CheckpointStore
-        from repro.measurement.io import shard_payload_from_json
 
         store = CheckpointStore(args.path)
         shard_ids = sorted(store.completed_shards())
@@ -1059,7 +1058,11 @@ def cmd_stats(args) -> int:
             return 1
         merged = MetricsRegistry()
         for shard_id in shard_ids:
-            _, metrics = shard_payload_from_json(store.load_shard(shard_id))
+            try:
+                _, metrics = store.load_shard(shard_id)
+            except (OSError, ValueError) as exc:
+                print(f"stats: {exc}", file=sys.stderr)
+                return 1
             if metrics is None:
                 print(
                     f"stats: shard {shard_id} was checkpointed without "

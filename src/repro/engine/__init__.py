@@ -10,7 +10,7 @@ inter-service pass over the result::
     persist   write or validate the manifest, load resumed
               shards, checkpoint each finished shard       (engine.checkpoint)
     execute   measure shards serially or in a process pool (engine.executor)
-    merge     decode and check shards against the plan     (engine.merge)
+    merge     check shards against the plan, concatenate  (engine.merge)
     report    shards done, sites/sec, per-phase timings    (engine.progress)
 
 A pool worker rebuilds its world from a picklable recipe: the
@@ -37,11 +37,7 @@ from repro.core.pipeline import (
     dns_display_directory,
 )
 from repro.engine.checkpoint import CheckpointStore, StaleCheckpointError
-from repro.engine.executor import (
-    MultiprocessExecutor,
-    SerialExecutor,
-    WorldSource,
-)
+from repro.engine.executor import WorldSource
 from repro.engine.epochs import (
     EpochResult,
     TimelineWorldSource,
@@ -75,11 +71,9 @@ __all__ = [
     "CheckpointStore",
     "ConsoleProgress",
     "EpochResult",
-    "MultiprocessExecutor",
     "NullProgress",
     "PhaseTimer",
     "ProgressReporter",
-    "SerialExecutor",
     "ShardSpec",
     "StaleCheckpointError",
     "TimelineWorldSource",

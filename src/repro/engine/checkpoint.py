@@ -11,6 +11,9 @@ completes. Resuming validates the manifest against the current plan —
 same world fingerprint, same shard partition — and skips shards whose
 artifacts exist; anything else raises :class:`StaleCheckpointError`
 rather than silently merging measurements of a different world.
+
+This store is the only code that reads or writes shard JSON; everywhere
+else a shard is its records and drained metrics, in memory.
 """
 
 from __future__ import annotations
@@ -18,9 +21,16 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Union
+from typing import Any, Optional, Union
 
 from repro.engine.plan import CampaignPlan, WorldFingerprint
+from repro.measurement.io import (
+    DatasetFormatError,
+    ShardPayload,
+    shard_payload_from_json,
+    shard_to_json,
+)
+from repro.measurement.records import WebsiteMeasurement
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT_VERSION = 1
@@ -121,11 +131,25 @@ class CheckpointStore:
                 continue
         return done
 
-    def write_shard(self, shard_id: int, payload: str) -> None:
-        self._atomic_write(self.shard_path(shard_id), payload)
+    def write_shard(
+        self, shard_id: int, records: list[WebsiteMeasurement],
+        metrics: Optional[dict[str, Any]] = None,
+    ) -> None:
+        text = shard_to_json(records, metrics)
+        self._atomic_write(self.shard_path(shard_id), text)
 
-    def load_shard(self, shard_id: int) -> str:
-        return self.shard_path(shard_id).read_text(encoding="utf-8")
+    def load_shard(self, shard_id: int) -> ShardPayload:
+        """A completed shard's ``(records, metrics)``; an unreadable file
+        raises :class:`DatasetFormatError` naming the shard and path."""
+        path = self.shard_path(shard_id)
+        try:
+            return shard_payload_from_json(path.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, DatasetFormatError) as exc:
+            raise DatasetFormatError(
+                f"checkpoint shard {shard_id} at {path} is unreadable "
+                f"({exc}); delete the damaged checkpoint shard and resume, "
+                f"or use a fresh checkpoint directory"
+            ) from exc
 
     # -- internals ---------------------------------------------------------
 

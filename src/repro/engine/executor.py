@@ -1,25 +1,25 @@
-"""Shard executors: the backends that run a campaign plan.
+"""Shard measurement: one shard's records, in process or in a pool.
 
-Both backends yield ``(shard_id, shard_json)`` pairs as shards finish,
-so the orchestrator can checkpoint each one immediately. Shard payloads
-travel as JSON strings — the exact bytes a checkpoint stores — so a
-fresh run, a resumed run, and a multiprocess run all merge identical
-inputs.
+A measured shard is its records plus the telemetry state drained after
+them, and it crosses to the merge in memory: a serial campaign hands
+over the records it built, and a pool worker returns them through
+pickle, which carries the frozen record classes as they are. Only a
+checkpoint writes a shard as JSON (:mod:`repro.engine.checkpoint`).
 
-The multiprocessing backend materializes the world *inside each worker
-process* from the campaign's world config (worlds are deterministic
-functions of their config), so nothing heavier than a
-:class:`~repro.engine.plan.ShardSpec` ever crosses a process boundary.
+The pool materializes the world *inside each worker process* from the
+campaign's world config (worlds are deterministic functions of their
+config), so nothing heavier than a :class:`~repro.engine.plan.ShardSpec`
+goes out to a worker.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-from typing import Iterable, Iterator, Optional, Protocol, Union
+from typing import Iterator, Optional, Protocol, Union
 
 from repro.engine.plan import ShardSpec
 from repro.faults.plan import FaultPlan
-from repro.measurement.io import shard_to_json
+from repro.measurement.io import ShardPayload
 from repro.measurement.runner import MeasurementCampaign
 from repro.telemetry.context import TelemetryConfig
 from repro.worldgen.config import WorldConfig
@@ -64,85 +64,59 @@ def _init_worker(
     )
 
 
-def measure_shard(campaign: MeasurementCampaign, shard: ShardSpec) -> str:
-    """Measure one shard's sites; returns the checkpointable payload.
+def measure_shard(
+    campaign: MeasurementCampaign, shard: ShardSpec
+) -> ShardPayload:
+    """Measure one shard's sites: ``(records, metrics)``.
 
-    When the campaign carries telemetry, the shard payload also carries
-    the registry state drained *after exactly this shard's sites* — the
-    drain scopes metrics per shard, so merged aggregates are independent
-    of which worker measured which shard.
+    When the campaign carries telemetry, ``metrics`` is the registry
+    state drained *after exactly this shard's sites* — the drain scopes
+    metrics per shard, so merged aggregates are independent of which
+    worker measured which shard.
     """
     websites = [
         campaign.measure_site(domain, rank) for domain, rank in shard.sites
     ]
     tel = campaign.telemetry
-    metrics = tel.drain_metrics() if tel is not None else None
-    return shard_to_json(websites, metrics)
+    return websites, tel.drain_metrics() if tel is not None else None
 
 
-def _measure_shard_in_worker(shard: ShardSpec) -> tuple[int, str]:
+def _measure_shard_in_worker(shard: ShardSpec) -> tuple[int, ShardPayload]:
     assert _WORKER_CAMPAIGN is not None, "worker pool not initialized"
     return shard.shard_id, measure_shard(_WORKER_CAMPAIGN, shard)
 
 
-class SerialExecutor:
-    """In-process backend: shards measured in order through one campaign.
+def measure_in_pool(
+    campaign: MeasurementCampaign,
+    source: Union[WorldConfig, WorldSource],
+    shards: list[ShardSpec],
+    workers: int,
+    metrics: bool,
+) -> Iterator[tuple[int, ShardPayload]]:
+    """Measure ``shards`` on a ``multiprocessing.Pool``, yielding
+    ``(shard_id, (records, metrics))`` as each shard finishes.
 
-    Pass the *same* campaign instance the merger will use: the campaign's
-    SOA memo then spans the measure and inter-service passes, which is
-    what keeps the one-worker engine on the goldens' bytes (re-querying a
-    name after the measure phase can hit the resolver's negative cache
-    and answer differently than its first touch).
+    Each worker rebuilds the world from ``source`` and measures with
+    ``campaign``'s region and fault plan. With ``metrics``, workers get
+    a metrics-only telemetry facade rebuilt from a picklable config
+    (tracing stays in-process: site traces need the serial path so one
+    world observes the whole campaign).
     """
-
-    def __init__(self, campaign: MeasurementCampaign) -> None:
-        self._campaign = campaign
-
-    def run(self, shards: Iterable[ShardSpec]) -> Iterator[tuple[int, str]]:
-        for shard in shards:
-            yield shard.shard_id, measure_shard(self._campaign, shard)
-
-
-class MultiprocessExecutor:
-    """``multiprocessing.Pool`` backend: each worker materializes the
-    world from its config/seed and measures whole shards."""
-
-    def __init__(
-        self,
-        config: Union[WorldConfig, WorldSource],
-        workers: int,
-        region: Optional[str] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        telemetry_config: Optional[TelemetryConfig] = None,
-    ) -> None:
-        if workers < 1:
-            raise ValueError(f"worker count must be >= 1, got {workers}")
-        self._config = config
-        self._workers = workers
-        self._region = region
-        self._fault_plan = fault_plan
-        self._telemetry_config = telemetry_config
-
-    def run(self, shards: Iterable[ShardSpec]) -> Iterator[tuple[int, str]]:
-        shards = list(shards)
-        if not shards:
-            return
-        pool = multiprocessing.Pool(
-            processes=min(self._workers, len(shards)),
-            initializer=_init_worker,
-            initargs=(
-                self._config,
-                self._region,
-                self._fault_plan,
-                self._telemetry_config,
-            ),
-        )
-        try:
-            # Unordered: the merger reassembles by shard id, so slow
-            # shards never block checkpointing of finished ones.
-            for result in pool.imap_unordered(_measure_shard_in_worker, shards):
-                yield result
-            pool.close()
-            pool.join()
-        finally:
-            pool.terminate()
+    pool = multiprocessing.Pool(
+        processes=min(workers, len(shards)),
+        initializer=_init_worker,
+        initargs=(
+            source,
+            campaign.region,
+            campaign.fault_plan,
+            TelemetryConfig(metrics=True) if metrics else None,
+        ),
+    )
+    try:
+        # Unordered: the merge reassembles by shard id, so slow shards
+        # never block checkpointing of finished ones.
+        yield from pool.imap_unordered(_measure_shard_in_worker, shards)
+        pool.close()
+        pool.join()
+    finally:
+        pool.terminate()

@@ -4,10 +4,11 @@
 :func:`execute_plan`, which owns everything between planning and the
 inter-service pass.
 
-Shards are concatenated in shard-id order (= global rank order, because
-the planner slices contiguously), so the caller's inter-service pass
-sees the website list a serial run does, regardless of shard count,
-worker count, or the completion order the executor happened to produce.
+Shards arrive as records in memory — measured here, returned by a pool
+worker, or loaded from a checkpoint — and are concatenated in shard-id
+order (= global rank order, because the planner slices contiguously),
+so the caller's inter-service pass sees the website list a serial run
+does, regardless of shard count, worker count, or completion order.
 Telemetry metrics merge the same way: per-shard registry states are
 folded in shard-id order — integer arithmetic, so the fold is exact and
 associative — and the caller adds the inter-service pass's own metrics
@@ -20,17 +21,12 @@ from __future__ import annotations
 from typing import Optional, Union
 
 from repro.engine.checkpoint import CheckpointStore
-from repro.engine.executor import (
-    MultiprocessExecutor,
-    SerialExecutor,
-    WorldSource,
-)
+from repro.engine.executor import WorldSource, measure_in_pool, measure_shard
 from repro.engine.plan import CampaignPlan
 from repro.engine.progress import CampaignStats, ProgressReporter
-from repro.measurement.io import shard_payload_from_json
+from repro.measurement.io import ShardPayload
 from repro.measurement.records import WebsiteMeasurement
 from repro.measurement.runner import MeasurementCampaign
-from repro.telemetry.context import TelemetryConfig
 from repro.telemetry.metrics import MetricsRegistry
 from repro.worldgen.config import WorldConfig
 
@@ -46,7 +42,7 @@ def execute_plan(
     stats: CampaignStats,
     progress: ProgressReporter,
 ) -> tuple[list[WebsiteMeasurement], Optional[MetricsRegistry]]:
-    """Measure a plan's shards and decode them into rank-ordered records.
+    """Measure a plan's shards and merge them into rank-ordered records.
 
     With a ``store``, a fresh directory gets the plan's manifest; a
     directory that already holds one needs ``resume=True``, is validated
@@ -63,7 +59,7 @@ def execute_plan(
     shard without metrics (checkpointed by a telemetry-less run) then
     raises ``ValueError`` rather than silently under-counting.
     """
-    payloads: dict[int, str] = {}
+    payloads: dict[int, ShardPayload] = {}
     if store is not None:
         if store.has_manifest():
             if not resume:
@@ -91,27 +87,22 @@ def execute_plan(
     tel = campaign.telemetry
     collect = tel is not None and tel.metrics is not None
     if pending:
-        executor: Union[SerialExecutor, MultiprocessExecutor]
-        if workers <= 1:
-            # Shares `campaign` with the merge pass — see SerialExecutor.
-            executor = SerialExecutor(campaign)
+        if workers > 1:
+            measured = measure_in_pool(
+                campaign, source, pending, workers, metrics=collect
+            )
         else:
-            # Workers get a metrics-only facade rebuilt from a picklable
-            # config (tracing stays in-process: site traces need the
-            # serial path so one world observes the whole campaign).
-            executor = MultiprocessExecutor(
-                source,
-                workers,
-                region=campaign.region,
-                fault_plan=campaign.fault_plan,
-                telemetry_config=(
-                    TelemetryConfig(metrics=True) if collect else None
-                ),
+            # Shares `campaign` with the merge pass: its SOA memo then spans
+            # the measure and inter-service passes, which keeps one worker
+            # on the goldens' bytes (a name re-queried after the measure
+            # phase can hit the negative cache and answer differently).
+            measured = (
+                (s.shard_id, measure_shard(campaign, s)) for s in pending
             )
         sites_by_id = {s.shard_id: s.n_sites for s in pending}
-        for shard_id, payload in executor.run(pending):
+        for shard_id, payload in measured:
             if store is not None:
-                store.write_shard(shard_id, payload)
+                store.write_shard(shard_id, *payload)
             payloads[shard_id] = payload
             stats.shards_done += 1
             stats.sites_done += sites_by_id[shard_id]
@@ -121,7 +112,7 @@ def execute_plan(
     merged = MetricsRegistry() if collect else None
     websites: list[WebsiteMeasurement] = []
     for shard in plan.shards:
-        records, metrics = shard_payload_from_json(payloads[shard.shard_id])
+        records, metrics = payloads[shard.shard_id]
         if [r.domain for r in records] != [d for d, _ in shard.sites]:
             raise ValueError(
                 f"shard {shard.shard_id} payload lists {len(records)} "

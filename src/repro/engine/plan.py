@@ -116,7 +116,7 @@ class ShardSpec:
 
 @dataclass(frozen=True)
 class CampaignPlan:
-    """A fingerprinted, sharded campaign ready for an executor."""
+    """A fingerprinted, sharded campaign ready for ``execute_plan``."""
 
     fingerprint: WorldFingerprint
     shards: tuple[ShardSpec, ...]

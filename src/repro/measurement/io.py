@@ -27,10 +27,11 @@ Format history:
 Readers accept any historical version and upgrade it in memory, one
 version step at a time; a version they cannot read (newer, missing,
 malformed) raises :class:`WireVersionError` naming both the found and
-supported versions, and any other malformed payload (deeply nested JSON
-and a shard ``metrics`` that is no registry included) raises
-:class:`DatasetFormatError` (its base class) instead of a bare
-``KeyError``/``TypeError``/``RecursionError``. Writers always emit the
+supported versions, and any other malformed payload (deeply nested JSON,
+a field of the wrong JSON type and a shard ``metrics`` that is no
+registry included) raises :class:`DatasetFormatError` (its base class)
+instead of a bare ``KeyError``/``TypeError``/``RecursionError``, or a
+wrong value. Writers always emit the
 current version, as the text of ``json.dumps(..., indent=1)`` produced by
 :func:`~repro.measurement.jsonwriter.write_json`.
 """
@@ -124,11 +125,15 @@ def _canonical(obj: Any) -> Any:
 
 # -- the record codec --------------------------------------------------------
 
-#: Converts one field value; where a converter is ``None`` the value passes
+#: Converts one field value; an encoder of ``None`` passes the value
 #: through as it is.
 _Convert = Callable[[Any], Any]
 
-_SCALARS = (str, int, float, bool)
+#: The JSON value types a scalar field accepts, compared by exact type
+#: so an ``int`` field refuses a ``bool``.
+_SCALARS: dict[Any, tuple[type, ...]] = {
+    str: (str,), int: (int,), float: (int, float), bool: (bool,),
+}
 
 
 class RecordCodec(NamedTuple):
@@ -144,10 +149,15 @@ def record_codec(cls: type) -> RecordCodec:
     """The codec of a frozen record dataclass, built once per class.
 
     Nested records, ``Optional[X]``, ``list[X]``, ``tuple[X, ...]`` and
-    ``dict[str, X]`` fields are converted; scalars pass through,
-    and so does any container that holds no record (``write_json``
-    writes tuples as lists). Decoding always copies containers, so a
-    decoded record shares nothing with its payload.
+    ``dict[str, X]`` fields are converted. Encoding passes scalars, and
+    any container that holds no record, through as they are
+    (``write_json`` writes tuples as lists). Decoding copies every
+    container, so a decoded record shares nothing with its payload, and
+    checks each value's JSON type against its field's: a ``str`` field
+    takes a string, an ``int`` field an integer but not a boolean, a
+    ``float`` field either number, a list or tuple an array, a dict an
+    object, and only an ``Optional`` field ``null``. A mistyped value
+    raises :class:`DatasetFormatError` naming the field.
 
     Raises TypeError for a class that is not a frozen dataclass and for
     a field whose type it cannot convert — a record that could change
@@ -158,7 +168,7 @@ def record_codec(cls: type) -> RecordCodec:
         raise TypeError(f"{cls.__qualname__} is not a frozen dataclass")
     hints = typing.get_type_hints(cls)
     encoders: list[tuple[str, _Convert]] = []
-    decoders: list[tuple[str, Optional[_Convert]]] = []
+    decoders: list[tuple[str, _Convert]] = []
     for name in (f.name for f in dataclasses.fields(cls)):
         try:
             encode, decode = _converters(hints[name])
@@ -176,19 +186,24 @@ def record_codec(cls: type) -> RecordCodec:
         return out
 
     def decode_record(data: Any) -> Any:
-        return cls(*[
-            data[name] if convert is None else convert(data[name])
-            for name, convert in decoders
-        ])
+        values = []
+        for name, convert in decoders:
+            try:
+                values.append(convert(data[name]))
+            except DatasetFormatError as exc:
+                raise DatasetFormatError(
+                    f"{cls.__qualname__}.{name}: {exc}"
+                ) from None
+        return cls(*values)
 
     return RecordCodec(encode_record, decode_record)
 
 
-def _converters(tp: Any) -> tuple[Optional[_Convert], Optional[_Convert]]:
-    """``(encode, decode)`` for values of type ``tp``; ``None`` for either
-    passes the value through."""
+def _converters(tp: Any) -> tuple[Optional[_Convert], _Convert]:
+    """``(encode, decode)`` for values of type ``tp``; an ``encode`` of
+    ``None`` passes the value through."""
     if tp in _SCALARS:
-        return None, None
+        return None, _expect(_SCALARS[tp], tp.__name__)
     if isinstance(tp, type) and dataclasses.is_dataclass(tp):
         codec = record_codec(tp)
         return codec.encode, codec.decode
@@ -197,35 +212,68 @@ def _converters(tp: Any) -> tuple[Optional[_Convert], Optional[_Convert]]:
     if optional and len(args) == 2:
         inner = args[1] if args[0] is type(None) else args[0]
         encode, decode = _converters(inner)
-        return _or_none(encode), _or_none(decode)
+        return (
+            None if encode is None else _or_none(encode),
+            _or_none(decode),
+        )
     if origin is list or (origin is tuple and args[1:] == (Ellipsis,)):
         encode, decode = _converters(args[0])
-        rebuild = list if origin is list else tuple
         return (
-            None if encode is None else _each(encode, list),
-            rebuild if decode is None else _each(decode, rebuild),
+            None if encode is None else _each(encode),
+            _array_of(decode, list if origin is list else tuple),
         )
     if origin is dict and args[0] is str:
         encode, decode = _converters(args[1])
         return (
             None if encode is None else _each_value(encode),
-            dict if decode is None else _each_value(decode),
+            _object_of(decode),
         )
     raise TypeError(f"cannot convert a value of type {tp!r}")
 
 
-def _or_none(convert: Optional[_Convert]) -> Optional[_Convert]:
-    if convert is None:
-        return None
+def _mistyped(expected: str, value: Any) -> DatasetFormatError:
+    return DatasetFormatError(
+        f"expected {expected}, found {type(value).__name__} {value!r:.40}"
+    )
+
+
+def _expect(accepts: tuple[type, ...], expected: str) -> _Convert:
+    def check(value: Any) -> Any:
+        if type(value) in accepts:
+            return value
+        raise _mistyped(expected, value)
+
+    return check
+
+
+def _or_none(convert: _Convert) -> _Convert:
     return lambda value: None if value is None else convert(value)
 
 
-def _each(convert: _Convert, rebuild: Callable[[Any], Any]) -> _Convert:
-    return lambda values: rebuild([convert(value) for value in values])
+def _each(convert: _Convert) -> _Convert:
+    return lambda values: [convert(value) for value in values]
 
 
 def _each_value(convert: _Convert) -> _Convert:
     return lambda values: {key: convert(v) for key, v in values.items()}
+
+
+def _array_of(convert: _Convert, rebuild: Callable[[Any], Any]) -> _Convert:
+    def decode(values: Any) -> Any:
+        if type(values) is not list:
+            raise _mistyped("array", values)
+        return rebuild([convert(value) for value in values])
+
+    return decode
+
+
+def _object_of(convert: _Convert) -> _Convert:
+    def decode(values: Any) -> Any:
+        if type(values) is not dict:
+            raise _mistyped("object", values)
+        return {key: convert(value) for key, value in values.items()}
+
+    return decode
 
 
 _DATASET = record_codec(Dataset)
@@ -394,9 +442,12 @@ def shard_to_json(
     return write_json(payload, sort_keys=True)
 
 
-def shard_payload_from_json(
-    text: str,
-) -> tuple[list[WebsiteMeasurement], Optional[dict[str, Any]]]:
+#: One shard in memory: its website records in rank order and its drained
+#: telemetry registry (``None`` for a shard measured without metrics).
+ShardPayload = tuple[list[WebsiteMeasurement], Optional[dict[str, Any]]]
+
+
+def shard_payload_from_json(text: str) -> ShardPayload:
     """Deserialize a shard: ``(websites, metrics)``.
 
     ``metrics`` is ``None`` for shards written without telemetry (and
@@ -422,15 +473,11 @@ def shard_payload_from_json(
         metrics = payload.get("metrics")
         if metrics is not None:  # refuse it here, not in the resume merge
             MetricsRegistry.from_dict(metrics)
+    except DatasetFormatError:
+        raise
     except _MALFORMED as exc:
         raise _malformed("shard", exc) from exc
     return websites, metrics
-
-
-def shard_from_json(text: str) -> list[WebsiteMeasurement]:
-    """Deserialize just the website records of a shard (any readable
-    shard version; older payloads are upgraded in memory)."""
-    return shard_payload_from_json(text)[0]
 
 
 def save_dataset(dataset: Dataset, path: str) -> None:

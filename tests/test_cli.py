@@ -406,6 +406,27 @@ class TestTelemetryCommands:
         assert main(["stats", str(ckpt)]) == 1
         assert "without" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "damage",
+        ["garbage\n", '{"shard_format_version": 4, "websites": [{"domain": 5}]}'],
+        ids=["not-json", "malformed"],
+    )
+    def test_stats_refuses_a_damaged_shard_in_one_line(
+        self, capsys, tmp_path, damage
+    ):
+        ckpt = tmp_path / "ckpt"
+        assert main(
+            ["measure", *ARGS, "--limit", "10", "--shards", "2", "--quiet",
+             "--checkpoint-dir", str(ckpt), "--out", str(tmp_path / "d.json"),
+             "--metrics-out", str(tmp_path / "m.json")]
+        ) == 0
+        shard = ckpt / "shard-0001.json"
+        shard.write_text(damage, encoding="utf-8")
+        assert main(["stats", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"stats: checkpoint shard 1 at {shard}")
+        assert err.count("\n") == 1
+
     def test_stats_unreadable_path(self, capsys, tmp_path):
         assert main(["stats", str(tmp_path / "nope.json")]) == 1
         assert "cannot load" in capsys.readouterr().err

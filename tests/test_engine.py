@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
+import sys
+from collections import Counter
 
 import pytest
 
@@ -29,7 +32,13 @@ from repro.engine import (
 )
 from repro.failures import outage_fault_plan
 from repro.faults import FaultPlan, FaultRule
-from repro.measurement.io import dataset_from_json, dataset_to_json
+from repro.measurement.io import (
+    DatasetFormatError,
+    dataset_from_json,
+    dataset_to_json,
+    shard_payload_from_json,
+    shard_to_json,
+)
 
 ENGINE_N = 240
 ENGINE_SEED = 7
@@ -280,6 +289,27 @@ class TestStaleCheckpoints:
                 checkpoint_dir=str(checkpointed),
                 resume=True,
             )
+
+    @pytest.mark.parametrize(
+        "garbage", [b"garbage\n", b"\x89PNG\r\n\x1a\n\xff\xfe"],
+        ids=["text", "bytes"],
+    )
+    def test_unreadable_shard_names_its_file(
+        self, engine_config, checkpointed, garbage
+    ):
+        shard = checkpointed / "shard-0001.json"
+        shard.write_bytes(garbage)
+        with pytest.raises(DatasetFormatError) as excinfo:
+            run_campaign(
+                engine_config,
+                shards=3,
+                workers=1,
+                checkpoint_dir=str(checkpointed),
+                resume=True,
+            )
+        message = str(excinfo.value)
+        assert f"checkpoint shard 1 at {shard}" in message
+        assert "delete the damaged checkpoint shard and resume" in message
 
     def test_unreadable_manifest_is_refused(self, engine_config, tmp_path):
         ckpt = tmp_path / "ckpt"
@@ -573,6 +603,114 @@ class TestMetricsDeterminism:
         )
         payload = json.loads((ckpt / "shard-0000.json").read_text())
         assert "metrics" not in payload
+
+
+def _count_shard_codec_calls(monkeypatch) -> Counter:
+    """Count calls to the shard encoder and decoder, wherever a module
+    of the engine or the io module binds them."""
+    import repro.measurement.io as io_module
+
+    counts: Counter = Counter()
+    for name in ("shard_to_json", "shard_payload_from_json"):
+        original = getattr(io_module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module_name, module in list(sys.modules.items()):
+            if (
+                module_name == io_module.__name__
+                or module_name.startswith("repro.engine")
+            ) and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestShardsCrossInMemory:
+    """Shard JSON is a checkpoint format only: records reach the merge
+    in memory, and the checkpoint store encodes each fresh shard once
+    and decodes each resumed shard once."""
+
+    def test_serial_campaign_without_checkpoints_skips_shard_json(
+        self, engine_config, serial_json, monkeypatch
+    ):
+        counts = _count_shard_codec_calls(monkeypatch)
+        result = run_campaign(engine_config, shards=8, workers=1)
+        assert dataset_to_json(result) == serial_json
+        assert counts == Counter()
+
+    def test_checkpoint_encodes_fresh_and_decodes_resumed_shards_once(
+        self, engine_config, serial_json, tmp_path, monkeypatch
+    ):
+        counts = _count_shard_codec_calls(monkeypatch)
+        ckpt = tmp_path / "ckpt"
+        with pytest.raises(KeyboardInterrupt):
+            run_campaign(
+                engine_config, shards=6, workers=1,
+                checkpoint_dir=str(ckpt), progress=_AbortAfter(2),
+            )
+        assert counts == Counter(shard_to_json=2)
+        counts.clear()
+        result = run_campaign(
+            engine_config, shards=6, workers=1,
+            checkpoint_dir=str(ckpt), resume=True,
+        )
+        assert dataset_to_json(result) == serial_json
+        assert counts == Counter(shard_to_json=4, shard_payload_from_json=2)
+
+
+def _containers(value, found: list) -> None:
+    """Every list, dict and set reachable from a record, by identity."""
+    if isinstance(value, (list, dict, set)):
+        found.append(value)
+    if isinstance(value, dict):
+        for item in value.values():
+            _containers(item, found)
+    elif isinstance(value, (list, tuple, set)):
+        for item in value:
+            _containers(item, found)
+    elif hasattr(value, "__dataclass_fields__"):
+        for name in value.__dataclass_fields__:
+            _containers(getattr(value, name), found)
+
+
+class TestLiveRecordsCrossAsData:
+    """What lets shards cross in memory: a live shard equals its decoded
+    checkpoint (and its pickle), and no two records of one campaign
+    share a mutable container, so nothing done to one record's data can
+    show up in another."""
+
+    @pytest.mark.parametrize("chaos", [False, True], ids=["clean", "chaos"])
+    def test_live_shards_equal_their_round_trips(self, engine_world, chaos):
+        from repro.engine.executor import measure_shard
+        from repro.measurement.runner import MeasurementCampaign
+
+        fault_plan = _chaos_plan() if chaos else None
+        campaign = MeasurementCampaign(
+            engine_world, fault_plan=fault_plan,
+            telemetry=_metrics_telemetry(),
+        )
+        plan = plan_campaign(engine_world, n_shards=6, fault_plan=fault_plan)
+        owners: dict[int, str] = {}
+        measured = []  # keeps every record alive, so no id() is reused
+        for spec in plan.shards:
+            websites, metrics = measure_shard(campaign, spec)
+            assert metrics is not None
+            assert shard_payload_from_json(shard_to_json(websites, metrics)) == (
+                websites, metrics,
+            )
+            assert pickle.loads(pickle.dumps(websites)) == websites
+            measured.extend(websites)
+            for website in websites:
+                found: list = []
+                _containers(website, found)
+                for container in found:
+                    owner = owners.setdefault(id(container), website.domain)
+                    assert owner == website.domain, (
+                        f"{website.domain} shares a {type(container).__name__} "
+                        f"with {owner}"
+                    )
 
 
 _WALLCLOCK_KEY_FRAGMENTS = (

@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.engine.epochs import EpochResult, run_timeline
-from repro.measurement.io import dataset_to_json
+from repro.measurement.io import DatasetFormatError, dataset_to_json
 from repro.worldgen.timeline import Timeline, TimelineConfig
 
 CFG = TimelineConfig(n_websites=150, seed=7, epochs=4, churn_rate=0.10)
@@ -112,6 +112,19 @@ class TestCheckpointResume:
             run_timeline(
                 CFG, shards=2, checkpoint_dir=root, epochs=[1], resume=True
             )
+
+    def test_garbage_epoch_shard_names_its_file_on_resume(self, tmp_path):
+        root = tmp_path / "ckpt"
+        run_timeline(CFG, shards=2, checkpoint_dir=root, epochs=[1])
+        shard = root / "epoch-0001" / "shard-0001.json"
+        shard.write_bytes(b"\x89PNG\r\n\x1a\n\xff garbage")
+        with pytest.raises(DatasetFormatError) as excinfo:
+            run_timeline(
+                CFG, shards=2, checkpoint_dir=root, epochs=[1], resume=True
+            )
+        message = str(excinfo.value)
+        assert f"checkpoint shard 1 at {shard}" in message
+        assert "delete the damaged checkpoint shard and resume" in message
 
     def test_dirty_checkpoint_without_resume_rejected(self, tmp_path):
         root = tmp_path / "ckpt"

@@ -22,13 +22,18 @@ from repro.measurement.io import (
     load_dataset,
     record_codec,
     save_dataset,
-    shard_from_json,
     shard_payload_from_json,
     shard_to_json,
     upgrade_dataset_payload,
 )
 from repro.measurement.records import Dataset
 from repro.telemetry.metrics import MetricsRegistry
+
+GOLDEN_NOFAULT = Path(__file__).parent / "goldens" / "dataset_nofault.json"
+DECODERS = pytest.mark.parametrize(
+    "decode", [dataset_from_json, shard_payload_from_json],
+    ids=["dataset", "shard"],
+)
 
 
 class TestRoundtrip:
@@ -100,7 +105,9 @@ class TestFormatVersionErrors:
 
     def test_shard_version_mismatch(self):
         with pytest.raises(ValueError) as excinfo:
-            shard_from_json('{"shard_format_version": 7, "websites": []}')
+            shard_payload_from_json(
+                '{"shard_format_version": 7, "websites": []}'
+            )
         message = str(excinfo.value)
         assert "7" in message
         assert f"supports version {SHARD_FORMAT_VERSION}" in message
@@ -112,7 +119,9 @@ class TestFormatVersionErrors:
         with pytest.raises(WireVersionError):
             dataset_from_json('{"format_version": 99, "year": 2020}')
         with pytest.raises(WireVersionError):
-            shard_from_json('{"shard_format_version": 0, "websites": []}')
+            shard_payload_from_json(
+                '{"shard_format_version": 0, "websites": []}'
+            )
 
     @pytest.mark.parametrize(
         "version", [0, FORMAT_VERSION + 1, "3", True, None, 2.0]
@@ -267,6 +276,31 @@ class TestMalformedPayloads:
         with pytest.raises(DatasetFormatError):
             shard_payload_from_json(text)
 
+    @pytest.mark.parametrize(
+        "path,value,field",
+        [
+            (("dns", "nameservers"), "ns1.example.net",
+             "DnsObservation.nameservers: expected array, found str"),
+            (("rank",), "first", "WebsiteMeasurement.rank: expected int"),
+        ],
+        ids=["nameservers-as-string", "rank-as-string"],
+    )
+    @DECODERS
+    def test_mistyped_field(self, decode, path, value, field):
+        """A field of the wrong JSON type is refused, naming the field —
+        not decoded into a string's characters or a non-integer rank."""
+        golden = json.loads(GOLDEN_NOFAULT.read_text(encoding="utf-8"))
+        if decode is dataset_from_json:
+            payload = golden
+        else:
+            payload = {
+                "shard_format_version": SHARD_FORMAT_VERSION,
+                "websites": golden["websites"],
+            }
+        _swap(payload, ("websites", 0, *path), value)
+        with pytest.raises(DatasetFormatError, match=field):
+            decode(json.dumps(payload))
+
     def test_version_errors_are_format_errors(self):
         assert issubclass(WireVersionError, DatasetFormatError)
         assert issubclass(DatasetFormatError, ValueError)
@@ -300,7 +334,7 @@ class TestUpgradePaths:
             for w in payload["websites"]
         ]
         payload["shard_format_version"] = 1
-        restored = shard_from_json(json.dumps(payload))
+        restored = shard_payload_from_json(json.dumps(payload))[0]
         assert shard_to_json(restored) == current
 
     def test_v2_shard_reads_to_current_bytes(self, snapshot_2020):
@@ -311,7 +345,7 @@ class TestUpgradePaths:
             _website_v3_to_v2(w) for w in payload["websites"]
         ]
         payload["shard_format_version"] = 2
-        restored = shard_from_json(json.dumps(payload))
+        restored = shard_payload_from_json(json.dumps(payload))[0]
         assert shard_to_json(restored) == current
 
     def test_upgraded_degradation_fields_default_to_clean(self, snapshot_2020):
@@ -399,7 +433,7 @@ class TestShardRoundtrip:
     def test_shard_roundtrip_is_lossless(self, snapshot_2020):
         websites = snapshot_2020.dataset.websites[:20]
         payload = shard_to_json(websites)
-        restored = shard_from_json(payload)
+        restored = shard_payload_from_json(payload)[0]
         assert len(restored) == 20
         # Re-serialization of the restored shard reproduces the bytes —
         # the property the engine's checkpoint/merge path relies on.
@@ -412,14 +446,10 @@ class TestShardRoundtrip:
             assert copied.cdn.detected_cdns == original.cdn.detected_cdns
 
     def test_empty_shard(self):
-        assert shard_from_json(shard_to_json([])) == []
+        assert shard_payload_from_json(shard_to_json([]))[0] == []
 
 
 DEEP = 200_000
-DECODERS = pytest.mark.parametrize(
-    "decode", [dataset_from_json, shard_payload_from_json],
-    ids=["dataset", "shard"],
-)
 
 
 class TestDeepNesting:
@@ -459,6 +489,12 @@ def _swap(payload, path, replacement):
     return payload
 
 
+def _at(payload, path):
+    for step in path:
+        payload = payload[step]
+    return payload
+
+
 _REPLACEMENTS = [None, True, 0, -1, 1.5, 1e308, "", "x", [], [None], {}, {"k": 1}]
 
 
@@ -476,9 +512,8 @@ def fuzz_seeds(tmp_path_factory) -> dict:
         checkpoint_dir=str(ckpt),
         telemetry=TelemetryConfig(metrics=True).build(),
     )
-    golden = Path(__file__).parent / "goldens" / "dataset_nofault.json"
     return {
-        dataset_from_json: golden.read_text(encoding="utf-8"),
+        dataset_from_json: GOLDEN_NOFAULT.read_text(encoding="utf-8"),
         shard_payload_from_json: (ckpt / "shard-0000.json").read_text(
             encoding="utf-8"
         ),
@@ -541,3 +576,29 @@ class TestDecoderFuzz:
             except (KeyError, IndexError, TypeError):
                 pass  # an earlier swap removed this path
         _decode_or_refuse(decode, json.dumps(payload))
+
+    @DECODERS
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_wrong_json_type_in_a_record_is_refused(
+        self, fuzz_seeds, decode, data
+    ):
+        """Replacing one value inside a website record with a value of
+        another JSON type always raises: records hold no float and no
+        untyped field, and ``null`` is wrong wherever an object or a
+        scalar was (an ``Optional`` field's ``null`` is left alone)."""
+        payload = json.loads(fuzz_seeds[decode])
+        paths = [
+            path for path in _paths(payload["websites"], ("websites",))
+            if len(path) > 2 and _at(payload, path) is not None
+        ]
+        path = data.draw(st.sampled_from(paths))
+        original = _at(payload, path)
+        replacement = data.draw(st.sampled_from([
+            value for value in _REPLACEMENTS
+            if type(value) is not type(original)
+            and not (value is None and isinstance(original, dict))
+        ]))
+        _swap(payload, path, replacement)
+        with pytest.raises(DatasetFormatError):
+            decode(json.dumps(payload))

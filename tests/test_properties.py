@@ -14,7 +14,7 @@ from repro.measurement.io import (
     dataset_from_json,
     dataset_to_json,
     record_codec,
-    shard_from_json,
+    shard_payload_from_json,
     shard_to_json,
 )
 from repro.measurement.jsonwriter import write_json
@@ -340,7 +340,7 @@ class TestRecordRoundtripProperties:
     @settings(max_examples=25)
     def test_website_measurement_roundtrip_through_shard_json(self, website):
         payload = shard_to_json([website])
-        restored = shard_from_json(payload)
+        restored = shard_payload_from_json(payload)[0]
         assert restored == [website]
         # Re-serialization is byte-stable (the checkpoint/merge contract).
         assert shard_to_json(restored) == payload
