@@ -4,8 +4,8 @@ Not a paper artifact — this measures the lint driver over the real
 ``src/repro`` tree, the same workload ``scripts/run_benchmarks.py``
 freezes into ``BENCH_lint.json``:
 
-* the **cold** pass parses every file and runs the full seven-rule
-  pack (REP001, REP003, REP006–REP010, including the fixed-point taint
+* the **cold** pass parses every file and runs the full eight-rule
+  pack (REP001, REP003, REP006–REP011, including the fixed-point taint
   solves);
 * the **warm** pass answers every unchanged file from the content-hash
   cache and must re-parse **zero** files — that is the contract, not a

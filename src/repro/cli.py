@@ -66,7 +66,7 @@ speaking the ``repro-serve/1`` protocol (batched answering, cross-store
 diffs, load shedding, graceful drain on SIGTERM) and ``client`` asks it
 questions — every daemon answer byte-identical to ``query --json``;
 ``lint`` runs the :mod:`repro.staticcheck` invariant rule pack
-(REP001, REP003, REP006..REP010) over the source tree.
+(REP001, REP003, REP006..REP011) over the source tree.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ class AuthoritativeServer:
         operator: str = "",
     ):
         self.name = normalize(name)
-        self.ips = list(ips)
+        self.ips = tuple(ips)
         if not self.ips:
             raise ValueError("a server needs at least one IP")
         self.operator = operator
@@ -150,6 +150,6 @@ class AuthoritativeServer:
 
     def __repr__(self) -> str:
         return (
-            f"AuthoritativeServer({self.name!r}, ips={self.ips}, "
+            f"AuthoritativeServer({self.name!r}, ips={list(self.ips)}, "
             f"zones={sorted(self._zones)})"
         )

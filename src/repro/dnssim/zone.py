@@ -5,8 +5,16 @@ answers lookups with the same outcome categories a real authoritative
 server produces: answer, CNAME, referral (delegation), NXDOMAIN, NODATA.
 
 The public methods normalize the names they are given; the server answers
-decoded (already canonical) questions through :meth:`Zone._lookup`, which
-does not.
+decoded (already canonical) questions through :meth:`Zone._lookup`, and the
+materializer adds built (already canonical) records through
+:meth:`Zone._add_rr`; neither normalizes.
+
+A zone keeps what it holds out of the garbage collector's walk where it
+can: records are keyed by ``(name, int(type))``, a tuple of a string and a
+plain int that the collector stops tracking (``RRType`` members are
+tracked objects, and so would be every key holding one), and each rrset is
+a tuple. ``RRType`` is an ``IntEnum``, so a probe with the enum member
+hashes and compares equal to the stored int.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from repro.dnssim.records import (
     CNAMERecord,
     NSRecord,
     RData,
+    RRClass,
     RRType,
     ResourceRecord,
     SOARecord,
@@ -33,6 +42,9 @@ _make_rr = ResourceRecord._make
 #: Every record type, for per-type key probes (iterating the enum class
 #: itself is much slower than iterating a tuple).
 _RRTYPES = tuple(RRType)
+
+_SOA = int(RRType.SOA)
+_CNAME = int(RRType.CNAME)
 
 
 class ZoneError(DnsError):
@@ -70,13 +82,13 @@ class Zone:
 
     def __init__(self, origin: str, soa: SOARecord, soa_ttl: int = 3600):
         self.origin = normalize(origin)
-        self._records: dict[tuple[str, RRType], list[ResourceRecord]] = {}
+        self._records: dict[tuple[str, int], tuple[ResourceRecord, ...]] = {}
         # GeoDNS views: (region, name, type) -> records that override the
         # default answer for clients resolving from that region.
-        self._regional: dict[tuple[str, str, RRType], list[ResourceRecord]] = {}
+        self._regional: dict[tuple[str, str, int], tuple[ResourceRecord, ...]] = {}
         self._names: set[str] = {self.origin}
         self._origin_depth = self.origin.count(".") + 1 if self.origin else 0
-        self.add(self.origin, soa, ttl=soa_ttl)
+        self.set_soa(soa, ttl=soa_ttl)
 
     # -- construction ------------------------------------------------------
 
@@ -89,9 +101,11 @@ class Zone:
     def set_soa(self, soa: SOARecord, ttl: int = 3600) -> None:
         """Replace the zone's SOA (operators change DNS identity on
         migration; the materializer uses this for provider-masked SOAs)."""
-        self._records[(self.origin, RRType.SOA)] = [
-            ResourceRecord(self.origin, ttl, soa)  # checks the TTL
-        ]
+        if ttl < 0:
+            raise ValueError("TTL must be non-negative")
+        self._records[(self.origin, _SOA)] = (
+            _make_rr(self.origin, ttl, soa, RRClass.IN),
+        )
 
     def add(self, name: str, rdata: RData, ttl: int = DEFAULT_TTL) -> ResourceRecord:
         """Add one record; ``name`` must lie within the zone.
@@ -99,20 +113,26 @@ class Zone:
         CNAME exclusivity is enforced: a CNAME owner may hold no other data,
         matching RFC 1034 and mattering for the CDN measurement path.
         """
-        rr = ResourceRecord(name, ttl, rdata)  # normalizes, checks the TTL
+        # The class call normalizes the name and checks the TTL.
+        return self._add_rr(ResourceRecord(name, ttl, rdata))
+
+    def _add_rr(self, rr: ResourceRecord) -> ResourceRecord:
+        """:meth:`add` for a built record, which holds canonical names
+        already. The same record may be added to many zones."""
         name = rr.name
         if not self._in_zone(name):
             raise ZoneError(f"{name!r} is outside zone {self.origin!r}")
-        key = (name, rr.rrtype)
-        if rr.rrtype == RRType.CNAME and any(
-            t != RRType.CNAME for t in self._types_at(name)
-        ):
-            raise ZoneError(f"cannot add CNAME at {name!r}: other data exists")
-        if rr.rrtype != RRType.CNAME and (name, RRType.CNAME) in self._records:
-            raise ZoneError(f"cannot add {rr.rrtype.name} at {name!r}: CNAME exists")
-        self._records.setdefault(key, [])
-        if rr not in self._records[key]:
-            self._records[key].append(rr)
+        records = self._records
+        rrtype = rr.rdata.rrtype
+        if rrtype is RRType.CNAME:
+            if any(t != RRType.CNAME for t in self._types_at(name)):
+                raise ZoneError(f"cannot add CNAME at {name!r}: other data exists")
+        elif (name, _CNAME) in records:
+            raise ZoneError(f"cannot add {rrtype.name} at {name!r}: CNAME exists")
+        key = (name, int(rrtype))
+        rrset = records.get(key, ())
+        if rr not in rrset:
+            records[key] = rrset + (rr,)
         self._names.add(name)
         return rr
 
@@ -134,10 +154,10 @@ class Zone:
         name = rr.name
         if not self._in_zone(name):
             raise ZoneError(f"{name!r} is outside zone {self.origin!r}")
-        key = (region, name, rr.rrtype)
-        self._regional.setdefault(key, [])
-        if rr not in self._regional[key]:
-            self._regional[key].append(rr)
+        key = (region, name, int(rr.rrtype))
+        rrset = self._regional.get(key, ())
+        if rr not in rrset:
+            self._regional[key] = rrset + (rr,)
         self._names.add(name)
         return rr
 
@@ -145,13 +165,13 @@ class Zone:
         self, name: str, rrtype: RRType, region: str
     ) -> list[ResourceRecord]:
         """Region-specific records for a (name, type), if any."""
-        return list(self._regional.get((region, normalize(name), rrtype), []))
+        return list(self._regional.get((region, normalize(name), rrtype), ()))
 
     def delete(self, name: str, rrtype: Optional[RRType] = None) -> int:
         """Remove records at ``name`` (optionally one type); returns count."""
         name = normalize(name)
         types = self._types_at(name) if rrtype is None else [rrtype]
-        removed = sum(len(self._records.pop((name, t), [])) for t in types)
+        removed = sum(len(self._records.pop((name, t), ())) for t in types)
         if not self._types_at(name):
             self._names.discard(name)
         return removed
@@ -170,7 +190,7 @@ class Zone:
 
     def records_at(self, name: str, rrtype: RRType) -> list[ResourceRecord]:
         """Exact-match records (no wildcard expansion)."""
-        return list(self._records.get((normalize(name), rrtype), []))
+        return list(self._records.get((normalize(name), rrtype), ()))
 
     def _wildcard_match(self, name: str, rrtype: RRType) -> list[ResourceRecord]:
         """RFC 1034 wildcard: ``*.parent`` synthesizes records for ``name``."""

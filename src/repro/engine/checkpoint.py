@@ -23,7 +23,7 @@ import os
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from repro.engine.plan import CampaignPlan, WorldFingerprint
+from repro.engine.plan import CampaignPlan, WorldFingerprint, json_type_name
 from repro.measurement.io import (
     DatasetFormatError,
     ShardPayload,
@@ -34,6 +34,23 @@ from repro.measurement.records import WebsiteMeasurement
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT_VERSION = 1
+
+
+def _manifest_shape_problem(payload: dict[str, Any]) -> Optional[str]:
+    """What makes a parsed manifest of the current version the wrong
+    shape outside its fingerprint's fields, or ``None``."""
+    fingerprint = payload.get("fingerprint")
+    if not isinstance(fingerprint, dict):
+        kind = json_type_name(type(fingerprint))
+        return f'"fingerprint" is {kind}, not an object'
+    shards = payload.get("shards", [])
+    if not isinstance(shards, list):
+        return f'"shards" is {json_type_name(type(shards))}, not an array'
+    for entry in shards:
+        if not isinstance(entry, dict):
+            kind = json_type_name(type(entry))
+            return f'a "shards" entry is {kind}, not an object'
+    return None
 
 
 class StaleCheckpointError(ValueError):
@@ -79,21 +96,37 @@ class CheckpointStore:
         )
 
     def validate_manifest(self, plan: CampaignPlan) -> None:
-        """Refuse to resume against a manifest for a different campaign."""
+        """Refuse to resume against a manifest for a different campaign,
+        or against a file that is not a manifest."""
         try:
             payload = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StaleCheckpointError(
                 f"unreadable checkpoint manifest at {self.manifest_path}: {exc}"
             ) from exc
-        version = payload.get("manifest_format_version")
-        if version != MANIFEST_FORMAT_VERSION:
-            raise StaleCheckpointError(
-                f"cannot read checkpoint manifest: found "
-                f"manifest_format_version {version!r}, but this build "
-                f"supports version {MANIFEST_FORMAT_VERSION}"
+        if not isinstance(payload, dict):
+            problem: Optional[str] = (
+                f"it is {json_type_name(type(payload))}, not an object"
             )
-        found = WorldFingerprint.from_json(payload["fingerprint"])
+        else:
+            version = payload.get("manifest_format_version")
+            if version != MANIFEST_FORMAT_VERSION:
+                raise StaleCheckpointError(
+                    f"cannot read checkpoint manifest: found "
+                    f"manifest_format_version {version!r}, but this build "
+                    f"supports version {MANIFEST_FORMAT_VERSION}"
+                )
+            problem = _manifest_shape_problem(payload)
+        if problem is None:
+            try:
+                found = WorldFingerprint.from_json(payload["fingerprint"])
+            except ValueError as exc:
+                problem = str(exc)
+        if problem is not None:
+            raise StaleCheckpointError(
+                f"malformed checkpoint manifest at {self.manifest_path}: "
+                f"{problem}; use a fresh --checkpoint-dir"
+            )
         if found != plan.fingerprint:
             raise StaleCheckpointError(
                 f"checkpoint at {self.directory} was written for world "

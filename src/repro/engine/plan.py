@@ -10,7 +10,9 @@ refuse stale artifacts.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import typing
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -18,6 +20,16 @@ from repro.faults.plan import FaultPlan
 from repro.measurement.runner import ranked_sites
 from repro.worldgen.config import WorldConfig
 from repro.worldgen.world import World
+
+_JSON_TYPE_NAMES = {
+    dict: "an object", list: "an array", str: "a string", int: "an integer",
+    float: "a number", bool: "a boolean", type(None): "null",
+}
+
+
+def json_type_name(kind: type) -> str:
+    """What JSON calls the type a decoded value has ("an object", "null")."""
+    return _JSON_TYPE_NAMES[kind]
 
 
 @dataclass(frozen=True)
@@ -76,15 +88,22 @@ class WorldFingerprint:
 
     @classmethod
     def from_json(cls, data: dict[str, Any]) -> "WorldFingerprint":
-        return cls(
-            n_websites=data["n_websites"],
-            seed=data["seed"],
-            year=data["year"],
-            region=data.get("region"),
-            limit=data.get("limit"),
-            fault_digest=data.get("fault_digest"),
-            epoch=data.get("epoch"),
-        )
+        """The fingerprint a manifest recorded. A missing optional field
+        is ``None``; raises ValueError naming the first field whose JSON
+        type its annotation does not allow."""
+        hints = typing.get_type_hints(cls)
+        values: dict[str, Any] = {}
+        for field in dataclasses.fields(cls):
+            value = data.get(field.name)
+            kinds = typing.get_args(hints[field.name]) or (hints[field.name],)
+            if type(value) not in kinds:
+                raise ValueError(
+                    f'fingerprint field "{field.name}" is '
+                    f"{json_type_name(type(value))}, not "
+                    f"{json_type_name(kinds[0])}"
+                )
+            values[field.name] = value
+        return cls(**values)
 
     def describe(self) -> str:
         faults = (

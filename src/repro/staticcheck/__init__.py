@@ -11,7 +11,7 @@ framework:
 * :mod:`repro.staticcheck.config`  — per-rule configuration + defaults
 * :mod:`repro.staticcheck.driver`  — file walking, parsing, noqa filter
 * :mod:`repro.staticcheck.report`  — text / JSON reporters, exit codes
-* :mod:`repro.staticcheck.rules`   — the REP001, REP003, REP006..REP010
+* :mod:`repro.staticcheck.rules`   — the REP001, REP003, REP006..REP011
   rule pack
 
 Inline suppressions use ``# repro: noqa[REP001] -- reason`` comments;

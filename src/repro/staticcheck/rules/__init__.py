@@ -13,6 +13,7 @@ from repro.staticcheck.rules.rep007_taint import TaintTrackingRule
 from repro.staticcheck.rules.rep008_flow_iteration import FlowIterationRule
 from repro.staticcheck.rules.rep009_worker_reach import WorkerReachabilityRule
 from repro.staticcheck.rules.rep010_perf import PerfSmellRule
+from repro.staticcheck.rules.rep011_trusted_paths import TrustedPathRule
 
 
 def ruleset_digest(root: Path = Path(__file__).resolve().parent.parent) -> str:
@@ -37,6 +38,7 @@ ALL_RULES: tuple[Rule, ...] = (
     FlowIterationRule(),
     WorkerReachabilityRule(),
     PerfSmellRule(),
+    TrustedPathRule(),
 )
 
 

@@ -89,6 +89,7 @@ class CertificateAuthority:
                 ocsp_urls=(self._ocsp_url(),),
             )
             self._register(self.intermediate)
+        self._intermediates = (self.intermediate,) if self.intermediate else ()
 
         self.ocsp_responder = OCSPResponder(
             responder_name=f"{name} ocsp",
@@ -158,8 +159,7 @@ class CertificateAuthority:
 
     def chain_for(self, cert: Certificate) -> CertificateChain:
         """The presentation chain (leaf + intermediate) for a handshake."""
-        intermediates = [self.intermediate] if self.intermediate else []
-        return CertificateChain(leaf=cert, intermediates=list(intermediates))
+        return CertificateChain(leaf=cert, intermediates=self._intermediates)
 
     # -- revocation --------------------------------------------------------------
 

@@ -11,7 +11,7 @@ revocation *logic* is what the study exercises.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.names.normalize import normalize
@@ -81,10 +81,15 @@ class Certificate:
 
 @dataclass
 class CertificateChain:
-    """A leaf certificate plus intermediates, as presented in a handshake."""
+    """A leaf certificate plus intermediates, as presented in a handshake.
+
+    A CA hands every chain it builds the same ``intermediates`` tuple."""
 
     leaf: Certificate
-    intermediates: list[Certificate] = field(default_factory=list)
+    intermediates: tuple[Certificate, ...] = ()
+
+    def __post_init__(self) -> None:
+        self.intermediates = tuple(self.intermediates)
 
     def all_certificates(self) -> list[Certificate]:
         return [self.leaf, *self.intermediates]

@@ -9,8 +9,8 @@ paper's CNAME-to-CDN detection keys on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Iterable, Optional
 
 from repro.names.normalize import normalize
 from repro.tlssim.ca import CertificateAuthority
@@ -24,7 +24,7 @@ class CdnDeployment:
 
     label: str
     edge_hostname: str
-    customer_hostnames: list[str] = field(default_factory=list)
+    customer_hostnames: tuple[str, ...] = ()
 
 
 class CdnProvider:
@@ -64,7 +64,7 @@ class CdnProvider:
     def deploy(
         self,
         label: str,
-        customer_hostnames: list[str],
+        customer_hostnames: Iterable[str],
         chain: Optional[CertificateChain] = None,
         ca: Optional[CertificateAuthority] = None,
     ) -> CdnDeployment:
@@ -79,7 +79,7 @@ class CdnProvider:
         deployment = CdnDeployment(
             label=normalize(label),
             edge_hostname=self.edge_hostname_for(label),
-            customer_hostnames=[normalize(h) for h in customer_hostnames],
+            customer_hostnames=tuple(normalize(h) for h in customer_hostnames),
         )
         kind: VhostKind = "edge" if ca is None else "revocation"
         for hostname in [*deployment.customer_hostnames, deployment.edge_hostname]:

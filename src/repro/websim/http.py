@@ -10,7 +10,7 @@ is a plan that times out every connection to the CDN's edge server.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Optional
+from typing import Callable, Iterable, Literal, Optional
 
 from repro.faults.injector import FaultInjector
 from repro.names.normalize import normalize
@@ -169,9 +169,9 @@ class HttpServer:
     validating the classification heuristics.
     """
 
-    def __init__(self, name: str, ips: list[str], operator: str = ""):
+    def __init__(self, name: str, ips: Iterable[str], operator: str = ""):
         self.name = name
-        self.ips = list(ips)
+        self.ips = tuple(ips)
         if not self.ips:
             raise ValueError("a web server needs at least one IP")
         self.operator = operator
@@ -220,7 +220,7 @@ class HttpServer:
         return _ANSWERS[vhost.kind](vhost, hostname, path, injector, now)
 
     def __repr__(self) -> str:
-        return f"HttpServer({self.name!r}, ips={self.ips}, vhosts={len(self._vhosts)})"
+        return f"HttpServer({self.name!r}, ips={list(self.ips)}, vhosts={len(self._vhosts)})"
 
 
 class HttpFabric:

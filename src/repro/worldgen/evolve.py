@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.worldgen import rankmodel
 from repro.worldgen.alexa import AlexaList, ListChurn, churn_2016_to_2020
@@ -154,16 +154,23 @@ def _apply_quota(
     return applied
 
 
-def _market_weights(market: dict, eff_rank: float) -> tuple[list[str], list[float]]:
-    keys = [k for k, spec in market.items() if spec.share_weight > 0]
-    return keys, rankmodel.market_weights((market[k] for k in keys), eff_rank)
+def _drawable_weights(market: dict) -> rankmodel.MarketWeights:
+    """Only the providers with a positive share can be drawn."""
+    return rankmodel.MarketWeights(
+        market, [k for k, spec in market.items() if spec.share_weight > 0]
+    )
+
+
+def _set_dns_provider(website: WebsiteSpec, index: int, key: str) -> None:
+    providers = website.dns.providers
+    website.dns.providers = (*providers[:index], key, *providers[index + 1:])
 
 
 def _rebalance_market(
     websites: list[WebsiteSpec],
     market_2020: dict,
     rng: random.Random,
-    get_keys: Callable[[WebsiteSpec], list[str]],
+    get_keys: Callable[[WebsiteSpec], Sequence[str]],
     set_key: Callable[[WebsiteSpec, int, str], None],
     tolerance: float = 0.0,
 ) -> None:
@@ -319,14 +326,18 @@ def _apply_website_transitions(
     https_target: float = HTTPS_TARGET_2020,
     rebalance_tolerance: float = 0.0,
 ) -> None:
+    dns_weights = _drawable_weights(dns_market)
+    cdn_weights = _drawable_weights(cdn_market)
+
     def draw_dns(website: WebsiteSpec) -> str:
         eff = config.effective_rank(website.rank)
-        keys, weights = _market_weights(dns_market, eff)
-        return rankmodel.weighted_choice(rng, keys, weights)
+        return rankmodel.weighted_choice(
+            rng, dns_weights.keys, dns_weights.at(eff)
+        )
 
     def draw_cdn(website: WebsiteSpec, exclude: list[str]) -> Optional[str]:
         eff = config.effective_rank(website.rank)
-        keys, weights = _market_weights(cdn_market, eff)
+        keys, weights = cdn_weights.keys, cdn_weights.at(eff)
         choices = [(k, w) for k, w in zip(keys, weights) if k not in exclude]
         if not choices:
             return None
@@ -378,7 +389,7 @@ def _apply_website_transitions(
     _rebalance_market(
         websites, dns_market, rng,
         get_keys=lambda w: w.dns.providers,
-        set_key=lambda w, i, k: w.dns.providers.__setitem__(i, k),
+        set_key=_set_dns_provider,
         tolerance=rebalance_tolerance,
     )
 
@@ -504,9 +515,12 @@ def _sanitize_against_market(
 ) -> None:
     """Repair references to providers that no longer exist in 2020."""
     for website in spec.websites:
-        for i, provider in enumerate(website.dns.providers):
-            if provider != PRIVATE and provider not in spec.dns_providers:
-                website.dns.providers[i] = PRIVATE
+        website.dns.providers = tuple(
+            provider
+            if provider == PRIVATE or provider in spec.dns_providers
+            else PRIVATE
+            for provider in website.dns.providers
+        )
         if website.dns.providers.count(PRIVATE) > 1:
             # Two dead providers both repaired to PRIVATE describe one
             # in-house setup, not a redundant one — collapse them.
@@ -518,7 +532,7 @@ def _sanitize_against_market(
                         continue
                     seen_private = True
                 deduped.append(provider)
-            website.dns.providers[:] = deduped
+            website.dns.providers = tuple(deduped)
         website.cdns = [
             c for c in website.cdns if c == PRIVATE or c in spec.cdns
         ]

@@ -339,12 +339,13 @@ def _draw_dns_setup(
     eff_rank: float,
     year: int,
     dns_market: dict[str, DnsProviderSpec],
+    dns_weights: rankmodel.MarketWeights,
     rng: random.Random,
 ) -> DnsSetup:
     if rng.random() >= rankmodel.p_third_party_dns(eff_rank, year):
         return DnsSetup(providers=[PRIVATE], soa_masked=False)
-    keys = list(dns_market)
-    weights = rankmodel.market_weights(dns_market.values(), eff_rank)
+    keys = dns_weights.keys
+    weights = dns_weights.at(eff_rank)
     primary = rankmodel.weighted_choice(rng, keys, weights)
     provider = dns_market[primary]
     p_red = min(
@@ -369,6 +370,7 @@ def _draw_cdns(
     eff_rank: float,
     year: int,
     cdn_market: dict[str, CdnSpec],
+    cdn_weights: rankmodel.MarketWeights,
     rng: random.Random,
 ) -> list[str]:
     if rng.random() >= rankmodel.p_cdn_usage(eff_rank, year):
@@ -377,8 +379,8 @@ def _draw_cdns(
         return [PRIVATE]
     # Only publicly-marketed CDNs are choosable; corner-case private CDNs
     # (entity-named) are wired explicitly.
-    keys = [k for k, c in cdn_market.items() if c.share_weight > 0]
-    weights = rankmodel.market_weights((cdn_market[k] for k in keys), eff_rank)
+    keys = cdn_weights.keys
+    weights = cdn_weights.at(eff_rank)
     primary = rankmodel.weighted_choice(rng, keys, weights)
     cdns = [primary]
     p_multi = min(
@@ -427,11 +429,15 @@ def generate_websites(
     regional_candidates = [
         key for key in ("alibaba-cdn", "cdn77") if key in cdn_market
     ]
+    dns_weights = rankmodel.MarketWeights(dns_market, dns_market)
+    cdn_weights = rankmodel.MarketWeights(
+        cdn_market, [k for k, c in cdn_market.items() if c.share_weight > 0]
+    )
     for index, domain in enumerate(alexa.domains):
         rank = index + 1
         eff = config.effective_rank(rank)
-        dns = _draw_dns_setup(eff, year, dns_market, rng)
-        cdns = _draw_cdns(eff, year, cdn_market, rng)
+        dns = _draw_dns_setup(eff, year, dns_market, dns_weights, rng)
+        cdns = _draw_cdns(eff, year, cdn_market, cdn_weights, rng)
         regional: dict[str, str] = {}
         if cdns and cdns != [PRIVATE] and regional_candidates:
             if rng.random() < regional_rate:

@@ -12,17 +12,31 @@ Builds the full stack the measurement pipeline probes:
 Ground truth never leaks into the materialized world except through
 observable artifacts (names, SOAs, SANs, CNAMEs) — the measurement pipeline
 has to *infer* it back, exactly like the paper.
+
+Records are values, and a build shares them: the :class:`Materializer`
+keeps one A, NS and SOA rdata per value and one resource record per (owner,
+A or NS value), and adds them through :meth:`Zone._add_rr`, so a glue
+record in a TLD zone is the object its own zone holds. The tables live on
+the materializer and die with it; two builds share nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.dnssim.network import DnsNetwork
-from repro.dnssim.records import ARecord, CNAMERecord, NSRecord, SOARecord
+from repro.dnssim.records import (
+    ARecord,
+    CNAMERecord,
+    NSRecord,
+    RData,
+    ResourceRecord,
+    RRType,
+    SOARecord,
+)
 from repro.dnssim.server import AuthoritativeServer
-from repro.dnssim.zone import Zone
+from repro.dnssim.zone import DEFAULT_TTL, Zone
 from repro.names.psl import icann_psl
 from repro.names.registrable import registrable_domain
 from repro.tlssim.ca import CertificateAuthority, IssuancePolicy
@@ -52,6 +66,9 @@ _ROOT_SERVER_NAME = "a.root-servers.net"
 #: well-formed dotted quad, so it is built without re-validation.
 _a_record = ARecord._make
 
+_A = int(RRType.A)
+_NS = int(RRType.NS)
+
 
 class IpAllocator:
     """Sequential 10.0.0.0/8 address allocation."""
@@ -73,8 +90,8 @@ class DnsHostingInfra:
 
     key: str
     entity: str
-    ns_hostnames: list[str]
-    servers: list[AuthoritativeServer]
+    ns_hostnames: tuple[str, ...]
+    servers: tuple[AuthoritativeServer, ...]
     primary_ns_domain: str  # e.g. "ns.cloudflare.com"
 
     @property
@@ -98,7 +115,7 @@ class CdnInfra:
     spec: CdnSpec
     provider: CdnProvider
     edge_server: HttpServer
-    dns_infras: list[DnsHostingInfra]
+    dns_infras: tuple[DnsHostingInfra, ...]
 
 
 @dataclass
@@ -108,7 +125,7 @@ class CaInfra:
     spec: CaSpec
     ca: CertificateAuthority
     service_server: Optional[HttpServer]
-    dns_infras: list[DnsHostingInfra]
+    dns_infras: tuple[DnsHostingInfra, ...]
 
 
 @dataclass
@@ -120,9 +137,9 @@ class WebsiteInfra:
     origin_server: HttpServer
     chain: Optional[CertificateChain] = None
     issuing_ca: Optional[CertificateAuthority] = None
-    landing_hosts: list[str] = field(default_factory=list)
-    resource_hosts: list[str] = field(default_factory=list)
-    dns_infras: list[DnsHostingInfra] = field(default_factory=list)
+    landing_hosts: tuple[str, ...] = ()
+    resource_hosts: tuple[str, ...] = ()
+    dns_infras: tuple[DnsHostingInfra, ...] = ()
 
 
 @dataclass
@@ -163,6 +180,39 @@ class Materializer:
         self._tld_server: Optional[AuthoritativeServer] = None
         self._root_zone: Optional[Zone] = None
         self._entity_primary_domain: dict[str, str] = {}
+        # Shared values: rdata by (type, value), A and NS records by
+        # (owner, type, value), SOA rdata by (mname, rname).
+        self._rdata: dict[tuple[int, str], RData] = {}
+        self._records: dict[tuple[str, int, str], ResourceRecord] = {}
+        self._soas: dict[tuple[str, str], SOARecord] = {}
+        self._infra_sets: dict[tuple[str, ...], tuple[DnsHostingInfra, ...]] = {}
+
+    # -- shared record values --------------------------------------------------
+
+    def _add_a(self, zone: Zone, name: str, address: str) -> None:
+        zone._add_rr(self._record(name, _A, address))
+
+    def _add_ns(self, zone: Zone, name: str, nsdname: str) -> None:
+        zone._add_rr(self._record(name, _NS, nsdname))
+
+    def _record(self, name: str, rrtype: int, value: str) -> ResourceRecord:
+        """The build's one ``name`` record of an A address or NS target."""
+        key = (name, rrtype, value)
+        rr = self._records.get(key)
+        if rr is None:
+            rdata = self._rdata.get((rrtype, value))
+            if rdata is None:
+                rdata = _a_record(value) if rrtype == _A else NSRecord(value)
+                self._rdata[(rrtype, value)] = rdata
+            rr = self._records[key] = ResourceRecord(name, DEFAULT_TTL, rdata)
+        return rr
+
+    def _soa(self, identity: tuple[str, str]) -> SOARecord:
+        """The build's one SOA rdata for an (mname, rname) identity."""
+        soa = self._soas.get(identity)
+        if soa is None:
+            soa = self._soas[identity] = SOARecord(*identity)
+        return soa
 
     # -- top-level ----------------------------------------------------------
 
@@ -197,7 +247,7 @@ class Materializer:
         root_ip = self.ip.allocate()
         tld_ip = self.ip.allocate()
         self._root_zone = Zone(
-            "", SOARecord(_ROOT_SERVER_NAME, "nstld.verisign-grs.com")
+            "", self._soa((_ROOT_SERVER_NAME, "nstld.verisign-grs.com"))
         )
         root_server = AuthoritativeServer(
             _ROOT_SERVER_NAME, [root_ip], operator="iana"
@@ -209,24 +259,20 @@ class Materializer:
             _TLD_SERVER_NAME, [tld_ip], operator="registry"
         )
         self.dns_network.register_server(self._tld_server)
-        self._root_zone.add(_ROOT_SERVER_NAME, _a_record(root_ip))
+        self._add_a(self._root_zone, _ROOT_SERVER_NAME, root_ip)
 
     def _tld_zone(self, suffix: str) -> Zone:
         zone = self._tld_zones.get(suffix)
         if zone is None:
-            zone = Zone(
-                suffix, SOARecord(_TLD_SERVER_NAME, "registry.iana.org")
-            )
+            zone = Zone(suffix, self._soa((_TLD_SERVER_NAME, "registry.iana.org")))
             self._tld_zones[suffix] = zone
             assert self._tld_server is not None and self._root_zone is not None
             self._tld_server.serve_zone(zone)
-            self._root_zone.add(suffix, NSRecord(_TLD_SERVER_NAME))
-            self._root_zone.add(
-                _TLD_SERVER_NAME, _a_record(self._tld_server.ips[0])
-            )
+            self._add_ns(self._root_zone, suffix, _TLD_SERVER_NAME)
+            self._add_a(self._root_zone, _TLD_SERVER_NAME, self._tld_server.ips[0])
         return zone
 
-    def _delegate(self, domain: str, infras: list[DnsHostingInfra]) -> None:
+    def _delegate(self, domain: str, infras: tuple[DnsHostingInfra, ...]) -> None:
         """Register ``domain``'s delegation in its TLD zone, with glue for
         in-bailiwick nameservers."""
         suffix = self.psl.public_suffix(domain)
@@ -235,17 +281,17 @@ class Materializer:
         tld_zone = self._tld_zone(suffix)
         for infra in infras:
             for ns_hostname in infra.ns_hostnames:
-                tld_zone.add(domain, NSRecord(ns_hostname))
+                self._add_ns(tld_zone, domain, ns_hostname)
                 if ns_hostname == domain or ns_hostname.endswith("." + domain):
                     for server in infra.servers:
                         if server.name == ns_hostname:
                             for ip in server.ips:
-                                tld_zone.add(ns_hostname, _a_record(ip))
+                                self._add_a(tld_zone, ns_hostname, ip)
 
     def _new_zone(
         self,
         origin: str,
-        infras: list[DnsHostingInfra],
+        infras: tuple[DnsHostingInfra, ...],
         soa_identity: Optional[tuple[str, str]] = None,
     ) -> Zone:
         """Create a zone, host it on ``infras``, delegate it, add NS rrset.
@@ -257,16 +303,16 @@ class Materializer:
         if existing is not None:
             for infra in infras:
                 for ns_hostname in infra.ns_hostnames:
-                    existing.add(origin, NSRecord(ns_hostname))
+                    self._add_ns(existing, origin, ns_hostname)
                 infra.host(existing)
             self._delegate(origin, infras)
             return existing
         if soa_identity is None:
             soa_identity = (f"ns1.{origin}", f"hostmaster.{origin}")
-        zone = Zone(origin, SOARecord(soa_identity[0], soa_identity[1]))
+        zone = Zone(origin, self._soa(soa_identity))
         for infra in infras:
             for ns_hostname in infra.ns_hostnames:
-                zone.add(origin, NSRecord(ns_hostname))
+                self._add_ns(zone, origin, ns_hostname)
             infra.host(zone)
         self._delegate(origin, infras)
         self._zones[origin] = zone
@@ -304,30 +350,30 @@ class Materializer:
         infra = DnsHostingInfra(
             key=key,
             entity=entity,
-            ns_hostnames=ns_hostnames,
-            servers=servers,
+            ns_hostnames=tuple(ns_hostnames),
+            servers=tuple(servers),
             primary_ns_domain=ns_domains[0],
         )
         # Self-hosted zones for each ns_domain's registrable domain, all
         # carrying the operator's shared SOA identity (alicdn.com and
         # alibabadns.com share an MNAME — the Section 3.1 entity signal).
-        mname, rname = infra.soa_identity
+        soa = self._soa(infra.soa_identity)
         for ns_domain in ns_domains:
             base = registrable_domain(ns_domain, icann_psl()) or ns_domain
             zone = self._zones.get(base)
             if zone is None:
-                zone = Zone(base, SOARecord(mname, rname))
+                zone = Zone(base, soa)
                 self._zones[base] = zone
                 if delegate:
-                    self._delegate(base, [infra])
+                    self._delegate(base, (infra,))
             if apex_ns:
                 for ns_hostname in infra.ns_hostnames:
-                    zone.add(base, NSRecord(ns_hostname))
+                    self._add_ns(zone, base, ns_hostname)
             infra.host(zone)
             for server in servers:
                 if server.name.endswith("." + base) or server.name == base:
                     for ip_addr in server.ips:
-                        zone.add(server.name, _a_record(ip_addr))
+                        self._add_a(zone, server.name, ip_addr)
         return infra
 
     def _build_dns_provider(self, provider: DnsProviderSpec) -> None:
@@ -360,8 +406,8 @@ class Materializer:
             self._entity_primary_domain.setdefault(website.entity, website.domain)
 
     def _infras_for_setup(
-        self, providers: list[str], owner_key: str, entity: str, base_domain: str
-    ) -> list[DnsHostingInfra]:
+        self, providers: tuple[str, ...], owner_key: str, entity: str, base_domain: str
+    ) -> tuple[DnsHostingInfra, ...]:
         """Resolve a DnsSetup's provider keys to hosting infrastructures.
 
         PRIVATE resolves to the entity's own nameservers: the ones under
@@ -386,7 +432,11 @@ class Materializer:
                     )
             else:
                 infras.append(self._dns_infra[provider])
-        return infras
+        # Sites on the same providers share one tuple.
+        shared = tuple(infras)
+        return self._infra_sets.setdefault(
+            tuple(infra.key for infra in shared), shared
+        )
 
     # -- CDNs ----------------------------------------------------------------
 
@@ -422,10 +472,10 @@ class Materializer:
             # _new_zone attaches NS records and the TLD delegation even when
             # the private-leg infra pre-created the zone object.
             zone = self._new_zone(origin, infras, soa_identity=mask)
-            zone.add(f"*.{suffix}", _a_record(edge_ips[0]))
-            zone.add(f"*.{suffix}", _a_record(edge_ips[1]))
+            self._add_a(zone, f"*.{suffix}", edge_ips[0])
+            self._add_a(zone, f"*.{suffix}", edge_ips[1])
             if suffix != origin:
-                zone.add(suffix, _a_record(edge_ips[0]))
+                self._add_a(zone, suffix, edge_ips[0])
         self._cdn_infra[cdn.key] = CdnInfra(
             spec=cdn, provider=provider, edge_server=edge_server, dns_infras=infras
         )
@@ -469,7 +519,7 @@ class Materializer:
             label = f"ca-{ca_spec.key}"
             deployment = cdn.provider.deploy(
                 label,
-                customer_hostnames=[ca_spec.ocsp_host, ca_spec.crl_host],
+                customer_hostnames=(ca_spec.ocsp_host, ca_spec.crl_host),
                 ca=ca,
             )
             zone.add(ca_spec.ocsp_host, CNAMERecord(deployment.edge_hostname))
@@ -477,9 +527,9 @@ class Materializer:
                 crl_zone.add(ca_spec.crl_host, CNAMERecord(deployment.edge_hostname))
         else:
             service_server.add_vhost(VirtualHost(ca_spec.ocsp_host, "ocsp", ca=ca))
-            zone.add(ca_spec.ocsp_host, _a_record(service_server.ips[0]))
+            self._add_a(zone, ca_spec.ocsp_host, service_server.ips[0])
             if ca_spec.crl_host != ca_spec.ocsp_host:
-                crl_zone.add(ca_spec.crl_host, _a_record(service_server.ips[0]))
+                self._add_a(crl_zone, ca_spec.crl_host, service_server.ips[0])
             service_server.add_vhost(VirtualHost(ca_spec.crl_host, "crl", ca=ca))
 
         self._ca_infra[ca_spec.key] = CaInfra(
@@ -517,7 +567,7 @@ class Materializer:
             ),
             ca=ca,
             service_server=None,  # endpoints ride the website's origin server
-            dns_infras=[],
+            dns_infras=(),
         )
         self._ca_infra[key] = infra
         return infra
@@ -534,9 +584,9 @@ class Materializer:
             )
             self.http_fabric.register_server(server)
             infra = self._private_infra_for(f"ext:{domain}", domain, domain)
-            zone = self._new_zone(domain, [infra])
+            zone = self._new_zone(domain, (infra,))
             for host in (domain, f"cdn.{domain}", f"static.{domain}"):
-                zone.add(host, _a_record(server.ips[0]))
+                self._add_a(zone, host, server.ips[0])
                 server.add_vhost(VirtualHost(host, owner=domain))
             self._external_servers[domain] = server
 
@@ -567,10 +617,12 @@ class Materializer:
         zone = self._new_zone(domain, infras, soa_identity=mask)
         # A private-leg infra may have pre-created the zone with its own
         # identity; the website's intended SOA always wins.
-        zone.set_soa(SOARecord(mask[0], mask[1]))
+        soa = self._soa(mask)
+        if zone.soa is not soa:
+            zone.set_soa(soa)
         origin_ip = origin_server.ips[0]
-        zone.add(domain, _a_record(origin_ip))
-        zone.add(f"www.{domain}", _a_record(origin_ip))
+        self._add_a(zone, domain, origin_ip)
+        self._add_a(zone, f"www.{domain}", origin_ip)
 
         # Certificate.
         chain: Optional[CertificateChain] = None
@@ -585,8 +637,8 @@ class Materializer:
                         ca = ca_infra.ca
                         origin_server.add_vhost(VirtualHost(ca.ocsp_host, "ocsp", ca=ca))
                         origin_server.add_vhost(VirtualHost(ca.crl_host, "crl", ca=ca))
-                        zone.add(ca.ocsp_host, _a_record(origin_ip))
-                        zone.add(ca.crl_host, _a_record(origin_ip))
+                        self._add_a(zone, ca.ocsp_host, origin_ip)
+                        self._add_a(zone, ca.crl_host, origin_ip)
                         ca_infra.service_server = origin_server
             else:
                 ca_infra = self._ca_infra[website.ca_key]
@@ -623,7 +675,7 @@ class Materializer:
         origin_server.add_vhost(apex)
         origin_server.add_vhost(landing)
         for host in resource_hosts["origin"]:
-            zone.add(host, _a_record(origin_ip))
+            self._add_a(zone, host, origin_ip)
             origin_server.add_vhost(VirtualHost(host, owner=domain, chain=chain))
 
         self._website_infra[domain] = WebsiteInfra(
@@ -632,8 +684,8 @@ class Materializer:
             origin_server=origin_server,
             chain=chain,
             issuing_ca=ca_infra.ca if ca_infra else None,
-            landing_hosts=[domain, f"www.{domain}"],
-            resource_hosts=resource_hosts["all"],
+            landing_hosts=(domain, f"www.{domain}"),
+            resource_hosts=tuple(resource_hosts["all"]),
             dns_infras=infras,
         )
 
@@ -674,7 +726,7 @@ class Materializer:
                     host = f"static{i}.{domain}"
                     label = f"{domain.replace('.', '-')}-{i}"
                     deployment = cdn.provider.deploy(
-                        label, customer_hostnames=[host], chain=chain
+                        label, customer_hostnames=(host,), chain=chain
                     )
                     zone.add(host, CNAMERecord(deployment.edge_hostname))
                     # GeoDNS: clients in other regions may be steered to a
@@ -686,7 +738,7 @@ class Materializer:
                             continue
                         regional_deployment = regional_cdn.provider.deploy(
                             f"{label}-{region}",
-                            customer_hostnames=[host],
+                            customer_hostnames=(host,),
                             chain=chain,
                         )
                         zone.add_regional(
@@ -699,7 +751,7 @@ class Materializer:
                 host = f"static{i}.{domain}"
                 zone.add(host, CNAMERecord(f"cdn-origin.{domain}"))
                 if f"cdn-origin.{domain}" not in zone:
-                    zone.add(f"cdn-origin.{domain}", _a_record(origin_ip))
+                    self._add_a(zone, f"cdn-origin.{domain}", origin_ip)
                 hosts["origin"].append(f"cdn-origin.{domain}")
             else:
                 host = f"img{i}.{domain}"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Any, Iterable, Sequence, TypeVar
+from typing import Any, Iterable, Mapping, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -127,20 +127,43 @@ def biased_weight(share: float, top_bias: float, eff_rank: float) -> float:
     return share * effective_bias
 
 
-def market_weights(specs: Iterable[Any], eff_rank: float) -> list[float]:
-    """``biased_weight`` of every provider spec at one rank.
+class MarketWeights:
+    """``biased_weight`` of a market's drawable providers, at any rank.
 
-    The rank's top-bias factor is computed once for the whole market,
-    not once per provider. A spec without ``top_bias`` is unbiased.
+    ``keys`` names the providers of ``market`` that can be drawn, in
+    draw order; :meth:`at` gives their weights in that order. Most
+    providers are unbiased, and their weight does not depend on the
+    rank: ``1.0 ** factor`` is exactly ``1.0``, and a ``top_bias`` of 0
+    or less weighs 0. Those weights are computed once, here; :meth:`at`
+    computes the rank's top-bias factor once and recomputes only the
+    biased entries, with the same float expression as ``biased_weight``.
+    A spec without ``top_bias`` is unbiased.
     """
-    factor = top_bias_factor(eff_rank)
-    weights = []
-    for spec in specs:
-        top_bias = getattr(spec, "top_bias", 1.0)
-        weights.append(
-            spec.share_weight * (top_bias ** factor if top_bias > 0 else 0.0)
-        )
-    return weights
+
+    def __init__(self, market: Mapping[str, Any], keys: Iterable[str]) -> None:
+        self.keys = list(keys)
+        self._weights: list[float] = []
+        self._biased: list[tuple[int, float, float]] = []
+        for index, key in enumerate(self.keys):
+            spec = market[key]
+            share = spec.share_weight
+            top_bias = getattr(spec, "top_bias", 1.0)
+            if not top_bias > 0:
+                self._weights.append(share * 0.0)
+            elif top_bias == 1:
+                self._weights.append(share * 1.0)
+            else:
+                self._weights.append(0.0)  # set by ``at``
+                self._biased.append((index, share, top_bias))
+
+    def at(self, eff_rank: float) -> list[float]:
+        """The weights of :attr:`keys` at one rank, in their order."""
+        weights = self._weights.copy()
+        if self._biased:
+            factor = top_bias_factor(eff_rank)
+            for index, share, top_bias in self._biased:
+                weights[index] = share * top_bias ** factor
+        return weights
 
 
 def zipf_weights(count: int, exponent: float = 1.1) -> list[float]:

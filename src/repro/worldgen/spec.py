@@ -22,15 +22,18 @@ class DnsSetup:
     """A customer's authoritative-DNS arrangement.
 
     ``providers`` lists provider keys; :data:`PRIVATE` denotes self-hosted
-    nameservers. ``soa_masked`` reproduces the trap in Section 3.1: many
-    third-party-hosted zones carry the *provider's* SOA, which breaks the
-    naive SOA-matching heuristic (e.g. twitter.com's SOA pointed to Dyn).
+    nameservers. It is kept as a tuple (any sequence is accepted), so a
+    setup is changed by assigning a new one. ``soa_masked`` reproduces the
+    trap in Section 3.1: many third-party-hosted zones carry the
+    *provider's* SOA, which breaks the naive SOA-matching heuristic (e.g.
+    twitter.com's SOA pointed to Dyn).
     """
 
-    providers: list[ProviderChoice] = field(default_factory=lambda: [PRIVATE])
+    providers: tuple[ProviderChoice, ...] = (PRIVATE,)
     soa_masked: bool = True
 
     def __post_init__(self) -> None:
+        self.providers = tuple(self.providers)
         if not self.providers:
             raise ValueError("a DNS setup needs at least one provider")
         if PRIVATE in self.providers:
@@ -62,7 +65,7 @@ class DnsSetup:
         return self.uses_third_party and not self.is_redundant
 
     def copy(self) -> "DnsSetup":
-        return DnsSetup(list(self.providers), self.soa_masked)
+        return DnsSetup(self.providers, self.soa_masked)
 
 
 @dataclass

@@ -427,6 +427,25 @@ class TestTelemetryCommands:
         assert err.startswith(f"stats: checkpoint shard 1 at {shard}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "manifest", ["[]", '{"manifest_format_version": 1, "fingerprint": 5}']
+    )
+    def test_resume_refuses_a_misshapen_manifest_in_one_line(
+        self, capsys, tmp_path, manifest
+    ):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "manifest.json").write_text(manifest, encoding="utf-8")
+        assert main(
+            ["measure", *ARGS, "--limit", "10", "--shards", "2", "--quiet",
+             "--checkpoint-dir", str(ckpt), "--resume"]
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"measure: malformed checkpoint manifest at {ckpt / 'manifest.json'}: "
+        )
+        assert err.count("\n") == 1
+
     def test_stats_unreadable_path(self, capsys, tmp_path):
         assert main(["stats", str(tmp_path / "nope.json")]) == 1
         assert "cannot load" in capsys.readouterr().err

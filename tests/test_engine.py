@@ -311,6 +311,56 @@ class TestStaleCheckpoints:
         assert f"checkpoint shard 1 at {shard}" in message
         assert "delete the damaged checkpoint shard and resume" in message
 
+    @pytest.mark.parametrize(
+        "damage, problem",
+        [
+            (lambda m: [], "it is an array, not an object"),
+            (
+                lambda m: {"manifest_format_version": 1, "fingerprint": 5},
+                '"fingerprint" is an integer, not an object',
+            ),
+            (
+                lambda m: {**m, "fingerprint": {**m["fingerprint"], "seed": "7"}},
+                'fingerprint field "seed" is a string, not an integer',
+            ),
+            (
+                lambda m: {
+                    **m, "fingerprint": {**m["fingerprint"], "fault_digest": 5}
+                },
+                'fingerprint field "fault_digest" is an integer, not a string',
+            ),
+            (lambda m: {**m, "shards": "0-2"}, '"shards" is a string, not an array'),
+            (
+                lambda m: {**m, "shards": [7, *m["shards"][1:]]},
+                'a "shards" entry is an integer, not an object',
+            ),
+        ],
+        ids=[
+            "array", "fingerprint-int", "seed-str", "digest-int",
+            "shards-str", "shard-entry-int",
+        ],
+    )
+    def test_misshapen_manifest_is_refused(
+        self, engine_config, checkpointed, damage, problem
+    ):
+        """A manifest that parses but has the wrong shape is refused with
+        a :class:`StaleCheckpointError` that says what is wrong."""
+        manifest_path = checkpointed / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps(damage(manifest)))
+        with pytest.raises(StaleCheckpointError) as excinfo:
+            run_campaign(
+                engine_config,
+                shards=3,
+                workers=1,
+                checkpoint_dir=str(checkpointed),
+                resume=True,
+            )
+        assert str(excinfo.value) == (
+            f"malformed checkpoint manifest at {manifest_path}: {problem}; "
+            f"use a fresh --checkpoint-dir"
+        )
+
     def test_unreadable_manifest_is_refused(self, engine_config, tmp_path):
         ckpt = tmp_path / "ckpt"
         ckpt.mkdir()
@@ -437,7 +487,7 @@ def _dyn_only_site(world) -> str:
     """A site whose only nameservers are Dyn's: unresolvable while the
     Dyn outage plan is installed."""
     ranked = sorted(world.spec.websites, key=lambda w: w.rank)
-    return next(w.domain for w in ranked if w.dns.providers == ["dyn"])
+    return next(w.domain for w in ranked if w.dns.providers == ("dyn",))
 
 
 class TestFaultLifecycle:

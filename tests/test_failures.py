@@ -20,7 +20,7 @@ class TestDnsOutage:
     def test_critical_customers_break(self, world_2020):
         victims = [
             w.domain for w in world_2020.spec.websites
-            if w.dns.providers == ["cloudflare"]
+            if w.dns.providers == ("cloudflare",)
         ][:15]
         assert victims, "need cloudflare-critical sites"
         result = simulate_dns_outage(
@@ -46,7 +46,7 @@ class TestDnsOutage:
         victim."""
         victim = next(
             w.domain for w in world_2020.spec.websites
-            if w.dns.providers == ["cloudflare"]
+            if w.dns.providers == ("cloudflare",)
         )
         down = world_2020.vantage(
             faults=outage_fault_plan(world_2020, "dns", "cloudflare")

@@ -1,5 +1,5 @@
 """Unit tests for the invariant linter's rule pack (REP001, REP003,
-REP006–REP010).
+REP006–REP011).
 
 Each rule gets a bad snippet that must flag, a good snippet that must
 pass, and a noqa-suppression path. The on-disk corpus under
@@ -1136,3 +1136,59 @@ class TestRep010PerfSmells:
             config=only("REP010"),
         )
         assert result.clean
+
+
+class TestRep011TrustedPaths:
+    CALLS = """
+        from repro.dnssim.records import ResourceRecord
+
+        def answer(zone, server, cache, name, rrtype, rdata):
+            rr = ResourceRecord._make(name, 300, rdata, 1)
+            zone._add_rr(rr)
+            cached = cache._peek((name, rrtype))
+            return server._zone_for(name)._lookup(name, rrtype, None), cached
+    """
+
+    def test_each_trusted_path_outside_dnssim_is_flagged(self):
+        result = lint(self.CALLS, config=only("REP011"))
+        assert sorted(
+            finding.message.split()[0] for finding in result.findings
+        ) == ["_add_rr", "_lookup", "_make", "_peek", "_zone_for"]
+        assert "repro.dnssim, repro.worldgen.materialize" in (
+            result.findings[0].message
+        )
+
+    def test_a_laundering_reference_is_flagged(self):
+        result = lint(
+            """
+            from repro.dnssim.records import ARecord
+
+            make_a = ARecord._make
+            """,
+            module="repro.worldgen.generate",
+            config=only("REP011"),
+        )
+        (finding,) = result.findings
+        assert finding.line == 4
+
+    @pytest.mark.parametrize(
+        "module", ["repro.dnssim.resolver", "repro.worldgen.materialize"]
+    )
+    def test_trusted_modules_are_clean(self, module):
+        assert lint(self.CALLS, module=module, config=only("REP011")).clean
+
+    def test_a_sibling_of_the_materializer_is_not_trusted(self):
+        result = lint(
+            self.CALLS, module="repro.worldgen.materialize_extra",
+            config=only("REP011"),
+        )
+        assert len(result.findings) == 5
+
+    def test_noqa_suppresses_with_reason(self):
+        result = lint(
+            "rr = ResourceRecord._make(name, 300, rdata, 1)"
+            "  # repro: noqa[REP011] -- name is canonical\n",
+            config=only("REP011"),
+        )
+        assert result.clean
+        assert len(result.suppressions) == 1

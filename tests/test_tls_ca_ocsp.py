@@ -55,7 +55,7 @@ class TestIssuance:
         cert = ca.issue("example.com", ("example.com",), now=0.0)
         chain = ca.chain_for(cert)
         assert chain.leaf is cert
-        assert chain.intermediates == [ca.intermediate]
+        assert chain.intermediates == (ca.intermediate,)
 
     def test_no_intermediate_mode(self):
         ca = CertificateAuthority("Direct", "x", "ocsp.x.net", use_intermediate=False)

@@ -18,11 +18,16 @@ measures the bytes of one built up front.
 from __future__ import annotations
 
 import gc
+import os
+import subprocess
+import sys
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.worldgen.world as world_module
 from repro import World, WorldConfig, build_world
 from repro.cli import main
@@ -194,32 +199,97 @@ def test_an_unbuilt_world_measures_like_a_built_one(seed, chaos):
 
 
 class TestHeapBudget:
-    """What a built world keeps for the collector to walk (n=500, seed
-    42). A virtual host is data answered by one function per kind, so a
-    build makes no closure; when each host carried its own handler, a
-    build left 2,998 closures here (5,891 at n=1,000) and 116.6
-    GC-tracked objects per site, against 97.4 since."""
+    """What a built world keeps for the collector to walk (seed 42).
 
-    N = 500
-    TRACKED_PER_SITE = 100
+    A virtual host is data answered by one function per kind, so a build
+    makes no closure; when each host carried its own handler, a build
+    left 2,998 closures at n=500 (5,891 at n=1,000) and 116.6 GC-tracked
+    objects per site. Records are shared values (one A and NS rdata per
+    value, one record per owner and value, one SOA per identity), zones
+    key their records by ``(name, int(type))``, which the collector stops
+    tracking, the spec and infrastructure hold their string sequences
+    as tuples, and sites on the same DNS providers share one tuple of
+    them. That took a build from 97.3 to 59.7 tracked objects per site at
+    n=500, and from 80.1 to 48.9 at n=3,000.
+    """
 
-    def test_a_build_makes_no_closures_and_stays_in_budget(self):
+    @staticmethod
+    def _build(n: int) -> tuple[World, float]:
+        """A built world, and the tracked objects it adds per site.
+
+        The caller holds the world, so whatever the build made is still
+        alive while the caller scans the heap.
+        """
         # No comprehensions here: on Python < 3.12 each one is a
         # ``<locals>`` function of its own.
         gc.collect()
+        tracked = len(gc.get_objects())
+        world = build_world(WorldConfig(n_websites=n, seed=42))
+        gc.collect()
+        assert world.spec.websites
+        return world, (len(gc.get_objects()) - tracked) / n
+
+    def test_a_build_makes_no_closures_and_stays_in_budget(self):
+        gc.collect()
         before = list(filter(_is_local_function, gc.get_objects()))
         seen = set(map(id, before))
-        tracked = len(gc.get_objects())
-        world = build_world(WorldConfig(n_websites=self.N, seed=42))
-        gc.collect()
-        per_site = (len(gc.get_objects()) - tracked) / self.N
+        world, per_site = self._build(500)
         made = []
         for fn in filter(_is_local_function, gc.get_objects()):
             if id(fn) not in seen:
                 made.append(fn.__qualname__)
         assert world.spec.websites
         assert made == []
-        assert per_site <= self.TRACKED_PER_SITE
+        assert per_site <= 62
+
+    def test_a_paper_scale_build_stays_in_budget(self):
+        _world, per_site = self._build(3000)
+        assert per_site <= 50
+
+
+class TestBuildsShareNothing:
+    """The record tables that share values live on the materializer, so
+    they die with it: no build sees another's records."""
+
+    @staticmethod
+    def _values(world: World) -> set[int]:
+        """The ids of every record and rdata object the world's zones hold."""
+        ids: set[int] = set()
+        for server in world.dns_network.servers():
+            for zone in server.zones():
+                for rr in zone.all_records():
+                    ids.add(id(rr))
+                    ids.add(id(rr.rdata))
+        return ids
+
+    def test_two_builds_of_one_config_share_no_record_object(self):
+        config = WorldConfig(n_websites=200, seed=42)
+        first, second = build_world(config), build_world(config)
+        assert self._values(first).isdisjoint(self._values(second))
+
+    def test_an_earlier_build_leaves_a_campaign_unchanged(self):
+        """A seed-42 campaign measures, after a seed-11 world was built,
+        the bytes it measures in a fresh process that builds nothing
+        else."""
+        script = (
+            "import sys\n"
+            "from repro import WorldConfig, build_world\n"
+            "from repro.engine import run_campaign\n"
+            "from repro.measurement.io import dataset_to_json\n"
+            f"world = build_world(WorldConfig(n_websites={REUSE_N}, seed=42))\n"
+            "sys.stdout.write(dataset_to_json(run_campaign(\n"
+            f"    world=world, shards=1, workers=1, limit={REUSE_LIMIT})))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        fresh = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        build_world(_config(11))
+        world = build_world(_config(42))
+        assert dataset_to_json(
+            run_campaign(world=world, shards=1, workers=1, limit=REUSE_LIMIT)
+        ) == fresh
 
 
 def _is_local_function(obj: object) -> bool:

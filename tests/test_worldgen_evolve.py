@@ -15,6 +15,7 @@ from repro.worldgen.evolve import (
     _apply_website_transitions,
     _rebalance_market,
     _sanitize_against_market,
+    _set_dns_provider,
     evolve_to_2020,
 )
 from repro.worldgen.generate import generate_snapshot
@@ -130,7 +131,7 @@ class TestEvolution:
         twitter = by_domain["twitter.com"]
         assert set(twitter.dns.providers) == {"dyn", PRIVATE}  # added redundancy
         espn = by_domain["espn.com"]
-        assert espn.dns.providers == ["aws-dns"]  # private -> single third
+        assert espn.dns.providers == ("aws-dns",)  # private -> single third
         microsoft = by_domain["microsoft.com"]
         assert not microsoft.ocsp_stapled  # dropped stapling
 
@@ -251,7 +252,7 @@ class TestSanitize:
             cas=base.cas,
         )
         _sanitize_against_market(spec, random.Random(2), config)
-        assert website.dns.providers == [PRIVATE]
+        assert website.dns.providers == (PRIVATE,)
 
 
 class _FakeProvider:
@@ -277,7 +278,7 @@ class TestRebalanceDeadBand:
         _rebalance_market(
             websites, market, random.Random(5),
             get_keys=lambda w: w.dns.providers,
-            set_key=lambda w, i, k: w.dns.providers.__setitem__(i, k),
+            set_key=_set_dns_provider,
             tolerance=1.0,
         )
         counts = {"a": 0, "b": 0}
@@ -291,7 +292,7 @@ class TestRebalanceDeadBand:
         _rebalance_market(
             websites, market, random.Random(5),
             get_keys=lambda w: w.dns.providers,
-            set_key=lambda w, i, k: w.dns.providers.__setitem__(i, k),
+            set_key=_set_dns_provider,
             tolerance=1.0,
         )
         counts = {"a": 0, "b": 0}
@@ -306,7 +307,7 @@ class TestRebalanceDeadBand:
         _rebalance_market(
             websites, market, random.Random(5),
             get_keys=lambda w: w.dns.providers,
-            set_key=lambda w, i, k: w.dns.providers.__setitem__(i, k),
+            set_key=_set_dns_provider,
         )
         moved = sum(1 for w in websites if w.dns.providers[0] == "b")
         assert moved == pytest.approx(50, abs=15)

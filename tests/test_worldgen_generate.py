@@ -73,15 +73,15 @@ class TestMarkets:
 
     def test_marquee_dependencies_present(self, spec_2020_markets):
         _, _, ca = spec_2020_markets
-        assert ca["digicert"].dns.providers == ["dnsmadeeasy"]
+        assert ca["digicert"].dns.providers == ("dnsmadeeasy",)
         assert ca["digicert"].cdn_key == "incapsula"
-        assert ca["letsencrypt"].dns.providers == ["cloudflare"]
+        assert ca["letsencrypt"].dns.providers == ("cloudflare",)
         assert ca["letsencrypt"].cdn_key == "cloudflare-cdn"
 
     def test_same_entity_dns_folds_to_private(self, spec_2020_markets):
         _, _, ca = spec_2020_markets
         # Amazon Trust Services on Route 53: same entity, hence private.
-        assert ca["amazon-ca"].dns.providers == [PRIVATE]
+        assert ca["amazon-ca"].dns.providers == (PRIVATE,)
         assert ca["amazon-ca"].cdn_private
 
     def test_symantec_gone_by_2020(self, spec_2020_markets, spec_2016):
@@ -133,7 +133,7 @@ class TestWebsiteGeneration:
 class TestCornerCases:
     def test_twitter_on_dyn_with_masked_soa(self, spec_2016):
         twitter = spec_2016.website_by_domain()["twitter.com"]
-        assert twitter.dns.providers == ["dyn"]
+        assert twitter.dns.providers == ("dyn",)
         assert twitter.dns.soa_masked
 
     def test_amazon_redundant_with_own_soa(self, spec_2016):

@@ -149,7 +149,7 @@ class TestFaultInjection:
         """The outage reaches only the vantage that carries its plan."""
         victim = next(
             w for w in world_2020.spec.websites
-            if w.dns.providers == ["dnsmadeeasy"]
+            if w.dns.providers == ("dnsmadeeasy",)
         )
         down = world_2020.vantage(
             faults=outage_fault_plan(world_2020, "dns", "dnsmadeeasy")

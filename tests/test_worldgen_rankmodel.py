@@ -32,6 +32,12 @@ def _catalog_markets() -> list[list]:
 _MARKETS = _catalog_markets()
 
 
+def _market_weights(specs: list) -> rankmodel.MarketWeights:
+    """The weights of a market whose every provider can be drawn."""
+    market = {f"p{index}": spec for index, spec in enumerate(specs)}
+    return rankmodel.MarketWeights(market, market)
+
+
 class TestInterpolationShape:
     @given(st.floats(min_value=1, max_value=1_000_000))
     def test_probabilities_are_probabilities(self, rank):
@@ -95,7 +101,58 @@ class TestBias:
             )
             for spec in specs
         ]
-        assert rankmodel.market_weights(specs, rank) == expected
+        assert _market_weights(specs).at(rank) == expected
+
+
+_MISSING = object()
+
+
+@st.composite
+def _drawn_market(draw) -> list:
+    """Provider specs whose ``top_bias`` is missing, 0, exactly 1.0 (or
+    the int 1), negative or biased, with float or int shares that may
+    be 0."""
+    specs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        share = draw(st.one_of(
+            st.floats(min_value=0.0, max_value=100.0),
+            st.integers(min_value=0, max_value=100),
+        ))
+        top_bias = draw(st.one_of(
+            st.just(_MISSING), st.sampled_from([0.0, 1.0, 1, -2.0]),
+            st.floats(min_value=0.01, max_value=20.0),
+        ))
+        if top_bias is _MISSING:
+            specs.append(SimpleNamespace(share_weight=share))
+        else:
+            specs.append(SimpleNamespace(share_weight=share, top_bias=top_bias))
+    return specs
+
+
+class TestMarketWeights:
+    @given(
+        _drawn_market(),
+        st.lists(st.floats(min_value=0.0, max_value=2_000_000), min_size=1),
+    )
+    def test_equal_to_the_per_spec_formula_at_every_rank(self, specs, ranks):
+        """One :class:`MarketWeights` per market, asked at many ranks,
+        gives exactly the weights the per-spec formula gives: the same
+        list order and the same floats, so ``weighted_choice`` draws the
+        same providers."""
+        weights = _market_weights(specs)
+        for rank in ranks:
+            factor = rankmodel.top_bias_factor(rank)
+            expected = []
+            for spec in specs:
+                top_bias = getattr(spec, "top_bias", 1.0)
+                expected.append(
+                    spec.share_weight
+                    * (top_bias ** factor if top_bias > 0 else 0.0)
+                )
+            assert weights.at(rank) == expected
+            assert [type(w) for w in weights.at(rank)] == [
+                type(w) for w in expected
+            ]
 
 
 class TestWeightedChoice:

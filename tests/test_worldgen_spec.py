@@ -50,8 +50,8 @@ class TestDnsSetup:
     def test_copy_is_deep_enough(self):
         setup = DnsSetup(providers=["dyn"])
         copy = setup.copy()
-        copy.providers.append("ultradns")
-        assert setup.providers == ["dyn"]
+        copy.providers += ("ultradns",)
+        assert setup.providers == ("dyn",)
 
 
 class TestWebsiteSpec:
@@ -78,10 +78,10 @@ class TestWebsiteSpec:
         site = self._site(cdns=["akamai"], external_resource_domains=["x.com"])
         copy = site.copy()
         copy.cdns.append("fastly")
-        copy.dns.providers.append("dyn")
+        copy.dns.providers += ("dyn",)
         copy.external_resource_domains.clear()
         assert site.cdns == ["akamai"]
-        assert site.dns.providers == [PRIVATE]
+        assert site.dns.providers == (PRIVATE,)
         assert site.external_resource_domains == ["x.com"]
 
 
@@ -106,5 +106,5 @@ class TestProviderSpecs:
             dns=DnsSetup(providers=["dyn"]),
         )
         copy = cdn.copy()
-        copy.dns.providers.append(PRIVATE)
-        assert cdn.dns.providers == ["dyn"]
+        copy.dns.providers += (PRIVATE,)
+        assert cdn.dns.providers == ("dyn",)
